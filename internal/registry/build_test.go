@@ -49,12 +49,9 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 // file path (Marshal → LoadConfig) must build pipelines whose runs
 // produce identical result digests for every analysis at every step.
 //
-// The analysis set is restricted to those whose results are value
-// types (stats, viz, assess) — the same restriction the crash matrix
-// applies — because ResultDigest formats nested pointers inside
-// results (topology's *mergetree.Tree, contingency's
-// *stats.Contingency) as addresses, which differ between any two
-// runs regardless of construction path.
+// The analysis set includes topology and contingency, whose results
+// hold nested pointers: ResultDigest digests their pointees, so two
+// runs that compute the same trees and tables digest identically.
 func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 	opts := registry.LegacyOptions{
 		NX: 16, NY: 12, NZ: 8,
@@ -62,9 +59,11 @@ func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 		Steps: 4, Every: 1, SubSteps: 1,
 		Buckets: 2, Servers: 2,
 		StatsMode: "both", VizMode: "both",
-		Assess: true,
-		Factor: 4,
-		Seed:   1,
+		Topology:    true,
+		Contingency: true,
+		Assess:      true,
+		Factor:      4,
+		Seed:        1,
 	}
 	fromFlags, err := opts.Config()
 	if err != nil {
