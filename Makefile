@@ -60,7 +60,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 doccheck:
-	$(GO) run ./cmd/doccheck ./internal/registry ./internal/core
+	$(GO) run ./cmd/doccheck ./internal/registry ./internal/core ./internal/dataspaces ./internal/staging ./internal/obs
 
 configs:
 	$(GO) run ./cmd/pipecheck -dir examples/configs

@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 
@@ -34,7 +35,6 @@ import (
 	"insitu/internal/registry"
 	"insitu/internal/render"
 	"insitu/internal/serve"
-	"insitu/internal/trace"
 	"insitu/internal/workload"
 )
 
@@ -163,9 +163,9 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 		fail(fmt.Errorf("-resume requires a recovery plane (-journal or a config recovery block)"))
 	}
 
-	var tl *trace.Timeline
+	var rec *obs.Recorder
 	if timeline {
-		tl = p.EnableTrace()
+		rec = p.EnableObs().Recorder()
 	}
 	pl, stop := setupObs(p, obsAddr, obsDump)
 	if b.Store != nil && pl != nil {
@@ -227,11 +227,18 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 		fmt.Println()
 	}
 
-	if tl != nil {
-		fmt.Println(tl.Gantt(100))
-		util := tl.Utilization()
+	if rec != nil {
+		fmt.Println(obs.Gantt(rec, 100))
+		util := obs.Utilization(rec)
+		lanes := make([]string, 0, len(util))
+		for lane := range util {
+			lanes = append(lanes, lane)
+		}
+		sort.Slice(lanes, func(i, j int) bool {
+			return lanes[i] == "sim" || (lanes[j] != "sim" && lanes[i] < lanes[j])
+		})
 		fmt.Print("lane utilization:")
-		for _, lane := range tl.Lanes() {
+		for _, lane := range lanes {
 			fmt.Printf(" %s=%.0f%%", lane, 100*util[lane])
 		}
 		fmt.Println()

@@ -19,6 +19,7 @@ import (
 	"insitu/internal/core"
 	"insitu/internal/grid"
 	"insitu/internal/netsim"
+	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/sim"
 	"insitu/internal/stats"
@@ -39,7 +40,7 @@ func main() {
 	track := &core.TrackingHybrid{Threshold: 0.05}
 	viz := core.NewVizHybrid(240, 160, 2)
 	viz.AutoRange = true
-	tl := p.EnableTrace()
+	pl := p.EnableObs()
 
 	p.Register(statsH)
 	p.Register(assess)
@@ -86,5 +87,5 @@ func main() {
 
 	// The run's execution timeline: simulation vs staging buckets.
 	fmt.Println()
-	fmt.Println(tl.Gantt(90))
+	fmt.Println(obs.Gantt(pl.Recorder(), 90))
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -114,6 +115,36 @@ func TestDeltaIdenticalPayloadCollapses(t *testing.T) {
 	}
 	if got := decodeOK(t, r, res, Delta); !bytes.Equal(got, p) {
 		t.Fatal("round trip broken")
+	}
+}
+
+// TestDeltaRawSizeCheckedBeforeAlloc: a delta frame whose header
+// claims a raw size its base does not have fails with ErrNoBase before
+// anything that size is allocated, so a hostile frame cannot force a
+// gigabyte allocation.
+func TestDeltaRawSizeCheckedBeforeAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r := NewRegistry()
+	key := Key("ckpt", 3)
+	p := fieldLike(rng, 20, 8192, func(i int) float64 { return float64(i) })
+	if _, err := r.Encode(Spec{ID: Delta}, key, 1, p, 0); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Encode(Spec{ID: Delta}, key, 2, p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append([]byte(nil), res.Frame...)
+	binary.LittleEndian.PutUint32(frame[4:8], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = r.Decode(frame)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrNoBase) {
+		t.Fatalf("decode = %v, want ErrNoBase", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting the frame allocated %d bytes", n)
 	}
 }
 

@@ -116,6 +116,14 @@ func (r *Registry) decodeDelta(rawSize int, meta, body []byte) ([]byte, error) {
 		copy(raw, body)
 		return raw, nil
 	}
+	// rawSize comes from the frame: check it against the base before
+	// allocating anything that size.
+	k := string(key)
+	sized := false
+	r.bases.with(k, int(baseVersion), func(base []byte) { sized = len(base) == rawSize })
+	if !sized {
+		return nil, fmt.Errorf("%w: %s@%d", ErrNoBase, key, baseVersion)
+	}
 	sh := bufpool.Get(rawSize)
 	if err := rleDecodeZero(sh, body); err != nil {
 		bufpool.Put(sh)
@@ -123,7 +131,7 @@ func (r *Registry) decodeDelta(rawSize int, meta, body []byte) ([]byte, error) {
 	}
 	raw := bufpool.Get(rawSize)
 	reconstructed := false
-	r.bases.with(string(key), int(baseVersion), func(base []byte) {
+	r.bases.with(k, int(baseVersion), func(base []byte) {
 		if len(base) != rawSize {
 			return
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"insitu/internal/grid"
 	"insitu/internal/mergetree"
+	"insitu/internal/obs"
 	"insitu/internal/render"
 	"insitu/internal/stats"
 )
@@ -233,17 +235,17 @@ func TestPipelineTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Register(&StatsHybrid{})
-	tl := p.EnableTrace()
+	rec := p.EnableObs().Recorder()
 	if _, err := p.Run(3); err != nil {
 		t.Fatal(err)
 	}
-	lanes := tl.Lanes()
-	if len(lanes) < 2 || lanes[0] != "sim" {
-		t.Fatalf("timeline lanes wrong: %v", lanes)
+	gantt := obs.Gantt(rec, 60)
+	if rows := strings.Split(gantt, "\n"); len(rows) < 3 || !strings.HasPrefix(rows[1], "sim") {
+		t.Fatalf("timeline lanes wrong:\n%s", gantt)
 	}
 	simSpans := 0
 	taskSpans := 0
-	for _, s := range tl.Spans() {
+	for _, s := range rec.SpansCat(obs.CatTimeline) {
 		if s.Lane == "sim" {
 			simSpans++
 		} else {
@@ -252,9 +254,6 @@ func TestPipelineTrace(t *testing.T) {
 	}
 	if simSpans != 3 || taskSpans != 3 {
 		t.Fatalf("want 3 sim + 3 task spans, got %d + %d", simSpans, taskSpans)
-	}
-	if tl.Gantt(60) == "" {
-		t.Fatal("gantt rendering empty")
 	}
 }
 

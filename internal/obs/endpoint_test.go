@@ -156,22 +156,19 @@ func TestTaskLifecycleReconciles(t *testing.T) {
 }
 
 // TestLegacyViewsUnchanged checks that attaching the full plane does
-// not perturb the legacy text renderings: the Gantt over a shared
+// not perturb the text renderings: the Gantt over the run's shared
 // recorder renders exactly the timeline-category spans.
 func TestLegacyViewsUnchanged(t *testing.T) {
 	pl, p := runInstrumented(t)
-	tl := p.EnableTrace() // idempotent; returns the plane's timeline
-	if tl.Recorder() != pl.Recorder() {
-		t.Fatal("timeline does not share the plane's recorder")
+	if p.EnableObs() != pl { // idempotent; returns the same plane
+		t.Fatal("EnableObs returned a second plane")
 	}
-	for _, s := range tl.Spans() {
-		for _, lane := range []string{"queue"} {
-			if s.Lane == lane {
-				t.Fatalf("non-timeline lane %q leaked into the Gantt view", lane)
-			}
+	for _, s := range pl.Recorder().SpansCat(obs.CatTimeline) {
+		if s.Lane == "queue" {
+			t.Fatal("non-timeline lane \"queue\" recorded as a timeline span")
 		}
 	}
-	gantt := tl.Gantt(80)
+	gantt := obs.Gantt(pl.Recorder(), 80)
 	if !strings.Contains(gantt, "sim") {
 		t.Fatalf("gantt missing sim lane:\n%s", gantt)
 	}

@@ -60,7 +60,10 @@ func (e *DeadLetterError) Unwrap() []error { return []error{ErrDeadLetter, e.Las
 
 // Handler executes the in-transit stage of one analysis. It receives
 // the task and the pulled input payloads, ordered as in Task.Inputs,
-// and returns an arbitrary result object.
+// and returns an arbitrary result object. The payloads are pooled
+// buffers that go back to the shared byte-buffer pool when the handler
+// returns: a handler must not retain an input slice (or a sub-slice of
+// it) past its return, and must copy anything it keeps.
 type Handler func(task dataspaces.Task, data [][]byte) (any, error)
 
 // StreamInput is one pulled payload delivered to a streaming handler
@@ -77,7 +80,8 @@ type StreamInput struct {
 // streaming fashion, starting as soon as the first data arrives",
 // hiding the in-transit computation behind the data movement. The
 // channel closes after the last input; the handler then returns its
-// result.
+// result. Inputs follow the Handler ownership rule: their Data is
+// recycled once the handler returns.
 type StreamHandler func(task dataspaces.Task, inputs <-chan StreamInput) (any, error)
 
 // Result records the outcome and cost breakdown of one in-transit task.
@@ -138,18 +142,6 @@ func WithMaxAttempts(n int) Option {
 	}
 }
 
-// WithPooledBuffers makes the buckets return pulled input payloads to
-// the shared byte-buffer pool once the handler has finished with them,
-// closing the Get-side of the zero-allocation transfer loop. It is
-// opt-in because it imposes an ownership rule on handlers: a handler
-// must not retain an input slice (or a sub-slice of it) past its
-// return — it must copy anything it keeps. Every in-transit handler in
-// core obeys this (they all decode payloads into their own structures),
-// so the standard Pipeline enables the option.
-func WithPooledBuffers() Option {
-	return func(a *Area) { a.pooled = true }
-}
-
 // routeKey scopes a handler registration to one (tenant, analysis)
 // route; single-tenant registrations use an empty tenant.
 type routeKey struct {
@@ -172,7 +164,6 @@ type Area struct {
 	busy     []int64 // per-bucket completed-task counts
 
 	resultCap int
-	pooled    bool
 	results   chan Result
 	wg        sync.WaitGroup
 
@@ -683,9 +674,6 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 		}
 	}
 	if pullErr != nil {
-		// The handler never saw these buffers, so they are recycled
-		// unconditionally (not gated on a.pooled): dart always drew
-		// them from the pool.
 		recycle()
 		return a.failTask(id, task, start, pullErr), false
 	}
@@ -715,11 +703,7 @@ func (a *Area) runTask(id int, ep *dart.Endpoint, kill <-chan struct{}, task dat
 	}
 	computeStart := time.Now()
 	hOut, err := safeHandler(func() (any, error) { return h(task, data) })
-	if a.pooled {
-		for _, p := range data {
-			bufpool.Put(p)
-		}
-	}
+	recycle()
 	at.child("task.run", computeStart, time.Now(), obs.Error(err))
 	res.ComputeWall = time.Since(computeStart)
 	res.Output = hOut
@@ -798,9 +782,7 @@ func (a *Area) runStreamTask(id int, ep *dart.Endpoint, task dataspaces.Task, sh
 		if m.r.Duration > res.MoveModeled {
 			res.MoveModeled = m.r.Duration
 		}
-		if a.pooled {
-			delivered = append(delivered, m.r.Data)
-		}
+		delivered = append(delivered, m.r.Data)
 		inputs <- StreamInput{Index: m.i, Rank: task.Inputs[m.i].Rank, Data: m.r.Data}
 	}
 	close(inputs)
