@@ -9,7 +9,9 @@
 #                   x-compression, max-err) against the committed
 #                   BENCH_PR6.json with a 10% tolerance
 #   make fuzz-smoke 10s coverage-guided fuzz of the codec frame decoder
-#                   (typed errors only, never a panic)
+#                   (typed errors only, never a panic) and 10s of the
+#                   pipeline-config parser (never a panic; every accepted
+#                   config is a marshal fixed point)
 #   make chaos      race-enabled chaos suite: fixed-seed soak (50 steps
 #                   under drops/timeouts/corruption/partition/crash)
 #                   plus a short randomized-seed smoke
@@ -35,7 +37,8 @@
 #                   run end-to-end with every analysis producing its
 #                   final result and zero pinned staging regions
 #   make obs-check  end-to-end observability gate: builds s3dpipe, runs it
-#                   with the live endpoint, and validates /metrics,
+#                   on the quickstart config with the live endpoint, and
+#                   validates /metrics,
 #                   /trace.json, /events.jsonl (submit/done reconciliation),
 #                   and /debug/pprof via cmd/obscheck
 #   make serve      end-to-end image-serving gate (cmd/servecheck): a
@@ -103,6 +106,7 @@ bench-gate:
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/codec/
+	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
 
 chaos:
 	$(GO) test -race -run TestChaosSoak -count=1 -v ./internal/core/

@@ -3,7 +3,7 @@
 // optionally drives one config end-to-end as a smoke test.
 //
 //	pipecheck -dir examples/configs          # validate every *.json
-//	pipecheck -run examples/configs/quickstart.json -steps 3
+//	pipecheck -run examples/configs/quickstart.json
 //	pipecheck -list                          # print the analysis catalog
 //
 // Validation uses registry.LoadConfig — strict decoding plus the full
@@ -29,10 +29,9 @@ import (
 
 func main() {
 	var (
-		dir   = flag.String("dir", "", "validate every *.json config under this directory")
-		run   = flag.String("run", "", "build and run this config end-to-end as a smoke test")
-		steps = flag.Int("steps", 0, "with -run: override the config's step count")
-		list  = flag.Bool("list", false, "print the registered analysis catalog and exit")
+		dir  = flag.String("dir", "", "validate every *.json config under this directory")
+		run  = flag.String("run", "", "build and run this config end-to-end as a smoke test")
+		list = flag.Bool("list", false, "print the registered analysis catalog and exit")
 	)
 	flag.Parse()
 
@@ -42,7 +41,7 @@ func main() {
 	case *dir != "":
 		validateDir(*dir)
 	case *run != "":
-		runConfig(*run, *steps)
+		runConfig(*run)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -85,9 +84,10 @@ func validateDir(dir string) {
 	}
 }
 
-// runConfig builds the config and runs it end-to-end, verifying the
-// run completes and drains every pinned staging region.
-func runConfig(path string, steps int) {
+// runConfig builds the config and runs it end-to-end for its declared
+// steps, verifying the run completes and drains every pinned staging
+// region.
+func runConfig(path string) {
 	cfg, err := registry.LoadConfig(path)
 	if err != nil {
 		fail(err)
@@ -97,7 +97,7 @@ func runConfig(path string, steps int) {
 		fail(err)
 	}
 	defer b.Close()
-	n := b.Steps(steps, 3)
+	n := b.Steps()
 	fmt.Printf("running %s (%s) for %d steps\n", path, cfg.Name, n)
 
 	if b.Scheduler != nil {

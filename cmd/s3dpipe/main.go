@@ -1,22 +1,28 @@
-// Command s3dpipe is the thin launcher over the analysis registry: it
-// turns a declarative pipeline config into a running hybrid
-// in-situ/in-transit pipeline and prints the resulting Table II style
-// cost breakdown. The preferred entry point is a config file:
+// Command s3dpipe runs one declarative pipeline config: it builds the
+// declared hybrid in-situ/in-transit topology through registry.Build,
+// runs it, and prints the run summary.
 //
 //	s3dpipe -config examples/configs/quickstart.json
+//	s3dpipe -config examples/configs/brownout.json -obs :6060 -hold
 //
-// The original ad-hoc flags still work and are converted into a
-// generated legacy config (printable with -dump-config), so both paths
-// construct pipelines through the identical registry.Build code:
+// The config says what runs: grid, analyses and their placement, step
+// count, fabric, faults, recovery journal and image store (see
+// PIPELINES.md). The flags only say what to do with the run:
 //
-//	s3dpipe -nx 64 -ny 48 -nz 16 -px 4 -py 4 -pz 2 -steps 10 \
-//	        -stats hybrid -viz hybrid -topology -buckets 4
+//	-resume    continue an interrupted journaled run (single tenant)
+//	-timeline  print the execution Gantt chart (single tenant)
+//	-images    write the final-step renders to a directory (single tenant)
+//	-obs       serve /metrics, /trace.json, /events.jsonl, /status, /debug/pprof
+//	-obs-dump  write trace.json, events.jsonl and metrics.prom after the run
+//	-hold      keep the -obs endpoint and the image server up after the run
 //
-// See PIPELINES.md for the complete configuration reference.
+// A single-tenant run prints the Table II cost breakdown; every run
+// prints each tenant's overload, resilience and recovery summary.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,7 +32,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 
 	"insitu/internal/core"
@@ -35,152 +40,106 @@ import (
 	"insitu/internal/registry"
 	"insitu/internal/render"
 	"insitu/internal/serve"
-	"insitu/internal/workload"
+
+	// Imported for its analysis registrations (the "poison" drill
+	// route), so the tenants scenario config builds.
+	_ "insitu/internal/workload"
 )
 
 func main() {
-	var (
-		configPath = flag.String("config", "", "declarative pipeline config file (JSON); supersedes the scenario flags below")
-		dumpConfig = flag.Bool("dump-config", false, "print the effective pipeline config as JSON and exit without running")
-		nx, ny, nz = flag.Int("nx", 56, "global grid x"), flag.Int("ny", 48, "global grid y"), flag.Int("nz", 16, "global grid z")
-		px, py, pz = flag.Int("px", 4, "ranks in x"), flag.Int("py", 4, "ranks in y"), flag.Int("pz", 2, "ranks in z")
-		steps      = flag.Int("steps", 5, "simulation steps")
-		every      = flag.Int("every", 1, "analysis cadence in steps")
-		substeps   = flag.Int("substeps", 1, "explicit sub-iterations per step (S3D-like cost)")
-		buckets    = flag.Int("buckets", 4, "staging buckets (in-transit cores)")
-		servers    = flag.Int("servers", 2, "DataSpaces service shards")
-		statsMode  = flag.String("stats", "both", "descriptive statistics: off|insitu|hybrid|both")
-		vizMode    = flag.String("viz", "both", "visualization: off|insitu|hybrid|both")
-		topo       = flag.Bool("topology", true, "hybrid merge-tree topology")
-		topoStream = flag.Bool("topology-streaming", false, "use the streaming in-transit topology variant")
-		topoPar    = flag.Int("topology-workers", 0, ">1 switches to the parallel hierarchical glue")
-		feat       = flag.Bool("featurestats", false, "hybrid feature-based statistics")
-		autoc      = flag.Bool("autocorr", false, "hybrid temporal auto-correlation")
-		conting    = flag.Bool("contingency", false, "hybrid contingency statistics (T vs OH)")
-		assess     = flag.Bool("assess", false, "in-situ assess & test (outlier flags + normality test)")
-		tracking   = flag.Bool("tracking", false, "hybrid feature tracking on the OH field")
-		factor     = flag.Int("factor", 8, "hybrid visualization down-sampling factor")
-		imgOut     = flag.String("images", "", "directory to write final-step renders to")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		timeline   = flag.Bool("timeline", false, "print the execution Gantt chart (temporal multiplexing)")
-		overload   = flag.Bool("overload", false, "run the fixed-seed staging-brownout scenario and print the overload/resilience summary")
-		tenants    = flag.Bool("tenants", false, "run the fixed-seed multi-tenant noisy-neighbor scenario and print the per-tenant fabric summary")
-		obsAddr    = flag.String("obs", "", "serve the live observability endpoint (/metrics, /trace.json, /events.jsonl, /status, /debug/pprof) on this address, e.g. :6060")
-		obsDump    = flag.String("obs-dump", "", "directory to write trace.json, events.jsonl, and metrics.prom to after the run")
-		hold       = flag.Bool("hold", false, "with -obs: keep serving after the run until SIGINT/SIGTERM")
-		journal    = flag.String("journal", "", "directory for the durable step journal and checkpoints (enables recovery)")
-		resume     = flag.Bool("resume", false, "with -journal: continue an interrupted run from its last committed step")
-		ckptEvery  = flag.Int("ckpt-every", 5, "with -journal: checkpoint cadence in steps")
-		storeDir   = flag.String("store", "", "directory for the Cinema-style image database; rendered frames are filed there as the run goes")
-		serveAddr  = flag.String("serve", "", "with -store: serve the image database over HTTP on this address, e.g. :8080 (viewer page, /db, /img, /latest.json)")
-		cameras    = flag.Int("cameras", 0, "render each viz step from an orbit of N camera directions (the image database's camera axis; 0/1 = the single default view)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "s3dpipe:", err)
+		os.Exit(1)
+	}
+}
 
-	if *configPath != "" && (*overload || *tenants) {
-		fail(fmt.Errorf("-config cannot be combined with the -overload/-tenants scenario flags; use the checked-in scenario configs instead"))
+// options are the flags no config key covers.
+type options struct {
+	resume, timeline, hold bool
+	images, obsAddr, dump  string
+}
+
+// run parses args, builds the config they name, runs it, and prints
+// the summary to w; flag usage goes to usage.
+func run(args []string, w, usage io.Writer) error {
+	fs := flag.NewFlagSet("s3dpipe", flag.ContinueOnError)
+	fs.SetOutput(usage)
+	configPath := fs.String("config", "", "declarative pipeline config file (JSON; required, see PIPELINES.md)")
+	var o options
+	fs.BoolVar(&o.resume, "resume", false, "continue an interrupted run from its journal's last committed step (needs a config recovery block)")
+	fs.BoolVar(&o.timeline, "timeline", false, "print the execution Gantt chart (temporal multiplexing)")
+	fs.StringVar(&o.images, "images", "", "directory to write final-step renders to")
+	fs.StringVar(&o.obsAddr, "obs", "", "serve the live observability endpoint (/metrics, /trace.json, /events.jsonl, /status, /debug/pprof) on this address, e.g. :6060")
+	fs.StringVar(&o.dump, "obs-dump", "", "directory to write trace.json, events.jsonl, and metrics.prom to after the run")
+	fs.BoolVar(&o.hold, "hold", false, "keep the -obs endpoint and the config's image server up after the run until SIGINT/SIGTERM")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *overload {
-		runBrownout(*obsAddr, *obsDump, *hold)
-		return
+	if *configPath == "" {
+		return errors.New("-config FILE is required")
 	}
-	if *tenants {
-		runTenants(*obsAddr, *obsDump, *hold)
-		return
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 
-	var cfg *registry.Config
-	var err error
-	if *configPath != "" {
-		cfg, err = registry.LoadConfig(*configPath)
-	} else {
-		if *resume && *journal == "" {
-			fail(fmt.Errorf("-resume requires -journal DIR"))
-		}
-		if *serveAddr != "" && *storeDir == "" {
-			fail(fmt.Errorf("-serve requires -store DIR"))
-		}
-		cfg, err = registry.LegacyOptions{
-			NX: *nx, NY: *ny, NZ: *nz,
-			PX: *px, PY: *py, PZ: *pz,
-			Steps: *steps, Every: *every, SubSteps: *substeps,
-			Buckets: *buckets, Servers: *servers,
-			StatsMode: *statsMode, VizMode: *vizMode,
-			Topology: *topo, TopologyStreaming: *topoStream, TopologyWorkers: *topoPar,
-			FeatureStats: *feat, AutoCorr: *autoc, Contingency: *conting,
-			Assess: *assess, Tracking: *tracking,
-			Factor: *factor, Cameras: *cameras, Seed: *seed,
-			Journal: *journal, CkptEvery: *ckptEvery,
-			StoreDir: *storeDir,
-		}.Config()
-	}
+	cfg, err := registry.LoadConfig(*configPath)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if *dumpConfig {
-		out, err := cfg.Marshal()
-		if err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(out)
-		return
+	if len(cfg.Tenants) > 1 && (o.resume || o.timeline || o.images != "") {
+		return errors.New("-resume, -timeline and -images apply to single-tenant configs only")
+	}
+	if o.resume && cfg.Recovery == nil {
+		return errors.New("-resume requires a config recovery block")
 	}
 
 	b, err := registry.Build(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	defer b.Close()
-
-	runSteps := b.Steps(explicitSteps(), 5)
 	if b.Scheduler != nil {
-		runMulti(b, runSteps, *obsAddr, *obsDump, *hold)
-		return
+		err = runMulti(w, b, o)
+	} else {
+		err = runSingle(w, b, o)
 	}
-	runSingle(b, runSteps, *resume, *timeline, *imgOut, *obsAddr, *obsDump, *hold, *serveAddr)
-}
-
-// explicitSteps returns the -steps value when the user set it on the
-// command line, 0 otherwise — so a config's declared step count wins
-// over the flag default but never over an explicit flag.
-func explicitSteps() int {
-	set := 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "steps" {
-			fmt.Sscanf(f.Value.String(), "%d", &set)
-		}
-	})
-	return set
+	// Closing the image store syncs its blob segment; a failure there
+	// can lose frames the run reported as filed.
+	if cerr := b.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runSingle runs a single-tenant topology and prints the classic
-// s3dpipe report: recovery summary, timeline, store info, the Table II
-// cost breakdown, and the final-step topology/render artifacts.
-func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsAddr, obsDump string, hold bool, serveAddr string) {
+// s3dpipe report: journal summary, timeline, store info, the Table II
+// cost breakdown, the run summary, and the final-step topology and
+// render artifacts.
+func runSingle(w io.Writer, b *registry.Built, o options) error {
 	p := b.Pipeline
 	t := &b.Config.Tenants[0]
-	if resume && b.Config.Recovery == nil {
-		fail(fmt.Errorf("-resume requires a recovery plane (-journal or a config recovery block)"))
-	}
+	steps := b.Steps()
 
 	var rec *obs.Recorder
-	if timeline {
+	if o.timeline {
 		rec = p.EnableObs().Recorder()
 	}
-	pl, stop := setupObs(p, obsAddr, obsDump)
+	pl, stop, err := setupObs(w, p.EnableObs, func() any { return p.Status() }, o)
+	if err != nil {
+		return err
+	}
 	if b.Store != nil && pl != nil {
 		b.Store.PublishTo(pl.Registry())
 	}
 
-	if serveAddr == "" && b.Config.Store != nil {
-		serveAddr = b.Config.Store.Serve
-	}
-	if serveAddr != "" && b.Store == nil {
-		fail(fmt.Errorf("serving requires an image store (-store DIR or a config store block)"))
-	}
 	// The serving tier starts before the run so live viewers can poll
 	// latest.json while frames are still landing.
-	var stopServe func()
+	serveAddr := ""
+	if b.Config.Store != nil {
+		serveAddr = b.Config.Store.Serve
+	}
 	if serveAddr != "" {
 		sv := serve.New(b.Store)
 		if pl != nil {
@@ -188,47 +147,48 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 		}
 		ln, err := net.Listen("tcp", serveAddr)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		srv := &http.Server{Handler: sv}
 		go srv.Serve(ln)
-		fmt.Printf("image serving tier on http://%s/ (viewer page, /db/info.json, /latest.json)\n\n", ln.Addr())
-		stopServe = func() { srv.Close() }
-		defer stopServe()
+		fmt.Fprintf(w, "image serving tier on http://%s/ (viewer page, /db/info.json, /latest.json)\n\n", ln.Addr())
+		defer srv.Close()
 	}
 
-	fmt.Printf("s3dpipe: grid %dx%dx%d, %d simulation ranks, %d DataSpaces shards, %d buckets, %d steps\n\n",
+	fmt.Fprintf(w, "s3dpipe: grid %dx%dx%d, %d simulation ranks, %d DataSpaces shards, %d buckets, %d steps\n\n",
 		t.Sim.NX, t.Sim.NY, t.Sim.NZ, t.Sim.PX*t.Sim.PY*t.Sim.PZ,
 		b.Config.Fabric.DSServers, b.Config.TransitBuckets(), steps)
 	var rep *core.Report
-	var err error
-	if resume {
+	if o.resume {
 		rep, err = p.Resume(steps)
 	} else {
 		rep, err = p.Run(steps)
 	}
 	if err != nil {
-		fail(err)
+		return err
 	}
 	// Hold covers the serving tier too: with serving and -hold the
 	// database stays browsable after the run until SIGINT/SIGTERM.
-	defer finishObs(pl, stop, obsDump, hold && (obsAddr != "" || serveAddr != ""))
+	defer finishObs(w, stop, o.hold && (o.obsAddr != "" || serveAddr != ""))
+	if err := dumpObs(w, pl, o.dump); err != nil {
+		return err
+	}
 
-	if rec := rep.Recovery; rec != nil {
-		fmt.Printf("recovery: %d commits, %d checkpoints, %d journal fsyncs\n",
-			rec.Commits, rec.Checkpoints, rec.JournalFsyncs)
-		if resume {
-			fmt.Printf("resumed from step %d (checkpoint %d): %d tasks replayed in %.3fs\n",
-				rec.ResumedFrom, rec.CheckpointStep, rec.ReplayedTasks, rec.ResumeSeconds)
+	if rr := rep.Recovery; rr != nil {
+		fmt.Fprintf(w, "recovery: %d commits, %d checkpoints, %d journal fsyncs\n",
+			rr.Commits, rr.Checkpoints, rr.JournalFsyncs)
+		if o.resume {
+			fmt.Fprintf(w, "resumed from step %d (checkpoint %d): %d tasks replayed in %.3fs\n",
+				rr.ResumedFrom, rr.CheckpointStep, rr.ReplayedTasks, rr.ResumeSeconds)
 		}
-		for _, w := range rep.Warnings {
-			fmt.Println("warning:", w)
+		for _, warn := range rep.Warnings {
+			fmt.Fprintln(w, "warning:", warn)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	if rec != nil {
-		fmt.Println(obs.Gantt(rec, 100))
+		fmt.Fprintln(w, obs.Gantt(rec, 100))
 		util := obs.Utilization(rec)
 		lanes := make([]string, 0, len(util))
 		for lane := range util {
@@ -237,97 +197,93 @@ func runSingle(b *registry.Built, steps int, resume, timeline bool, imgOut, obsA
 		sort.Slice(lanes, func(i, j int) bool {
 			return lanes[i] == "sim" || (lanes[j] != "sim" && lanes[i] < lanes[j])
 		})
-		fmt.Print("lane utilization:")
+		fmt.Fprint(w, "lane utilization:")
 		for _, lane := range lanes {
-			fmt.Printf(" %s=%.0f%%", lane, 100*util[lane])
+			fmt.Fprintf(w, " %s=%.0f%%", lane, 100*util[lane])
 		}
-		fmt.Println()
-		fmt.Println()
+		fmt.Fprintln(w)
+		fmt.Fprintln(w)
 	}
 
 	if b.Store != nil {
 		info := b.Store.Info()
-		fmt.Printf("image store: %d frames in %d blobs (%.2f MB) under %s; vars %v, cams %v, latest step %d\n\n",
+		fmt.Fprintf(w, "image store: %d frames in %d blobs (%.2f MB) under %s; vars %v, cams %v, latest step %d\n\n",
 			info.Frames, info.Blobs, float64(info.Bytes)/1e6, b.Config.Store.Dir, info.Vars, info.Cams, info.LatestStep)
 	}
 
 	total, perStep, n := rep.Metrics.SimTime()
-	fmt.Printf("simulation: %d steps, %v total, %v per step\n\n", n, total.Round(1e6), perStep.Round(1e6))
-	fmt.Println(rep.Metrics.TableII())
-	fmt.Printf("network: %d transfers, %.3f MB moved, %v modeled busy\n",
+	fmt.Fprintf(w, "simulation: %d steps, %v total, %v per step\n\n", n, total.Round(1e6), perStep.Round(1e6))
+	fmt.Fprintln(w, rep.Metrics.TableII())
+	fmt.Fprintf(w, "network: %d transfers, %.3f MB moved, %v modeled busy\n\n",
 		rep.Net.Transfers, float64(rep.Net.BytesMoved)/1e6, rep.Net.ModeledBusy.Round(1e3))
+	printSummary(w, b, map[string]*core.Report{t.Name: rep})
 
 	for _, a := range b.Tenants[0].Analyses {
 		if a.Name() != "hybrid topology" {
 			continue
 		}
 		if tr, ok := rep.Result(a.Name(), lastDue(steps, a.Every())).(*core.TopologyResult); ok && tr != nil {
-			fmt.Printf("topology (final step): %d tree nodes resident of %d streamed (peak %d), %d maxima",
+			fmt.Fprintf(w, "\ntopology (final step): %d tree nodes resident of %d streamed (peak %d), %d maxima",
 				len(tr.Tree.Nodes), tr.Stream.Declared, tr.Stream.PeakLive, len(tr.Tree.Maxima()))
 			if len(tr.Features) > 0 {
-				fmt.Printf(", %d features above threshold", len(tr.Features))
+				fmt.Fprintf(w, ", %d features above threshold", len(tr.Features))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
-	if imgOut != "" {
-		if err := os.MkdirAll(imgOut, 0o755); err != nil {
-			fail(err)
+	if o.images == "" {
+		return nil
+	}
+	if err := os.MkdirAll(o.images, 0o755); err != nil {
+		return err
+	}
+	saved := map[string]bool{}
+	for _, a := range b.Tenants[0].Analyses {
+		var file string
+		switch a.(type) {
+		case *core.VizInSitu:
+			file = "insitu.png"
+		case *core.VizHybrid:
+			file = "hybrid.png"
+		default:
+			continue
 		}
-		saved := map[string]bool{}
-		for _, a := range b.Tenants[0].Analyses {
-			var file string
-			switch a.(type) {
-			case *core.VizInSitu:
-				file = "insitu.png"
-			case *core.VizHybrid:
-				file = "hybrid.png"
-			default:
-				continue
+		if saved[file] {
+			continue
+		}
+		if img, ok := rep.Result(a.Name(), lastDue(steps, a.Every())).(*render.Image); ok {
+			path := filepath.Join(o.images, file)
+			if err := img.SavePNG(path); err != nil {
+				return err
 			}
-			if saved[file] {
-				continue
-			}
-			if img, ok := rep.Result(a.Name(), lastDue(steps, a.Every())).(*render.Image); ok {
-				save(img, filepath.Join(imgOut, file))
-				saved[file] = true
-			}
+			fmt.Fprintln(w, "wrote", path)
+			saved[file] = true
 		}
 	}
+	return nil
 }
 
-// runMulti runs a multi-tenant config topology and prints the
-// per-tenant fabric summary — the generic sibling of the -tenants
-// scenario output, driven entirely by the config's tenant list.
-func runMulti(b *registry.Built, steps int, obsAddr, obsDump string, hold bool) {
+// runMulti runs a multi-tenant topology on its shared scheduler and
+// prints the run summary.
+func runMulti(w io.Writer, b *registry.Built, o options) error {
 	s := b.Scheduler
-	fmt.Printf("s3dpipe: multi-tenant fabric %q, %d tenants, %d buckets, %d steps\n\n",
+	steps := b.Steps()
+	fmt.Fprintf(w, "s3dpipe: multi-tenant fabric %q, %d tenants, %d buckets, %d steps\n\n",
 		b.Config.Name, len(b.Tenants), b.Config.TransitBuckets(), steps)
 
-	var pl *obs.Plane
-	var stop func()
-	if obsAddr != "" || obsDump != "" {
-		pl = s.EnableObs()
-		if obsAddr != "" {
-			ln, err := net.Listen("tcp", obsAddr)
-			if err != nil {
-				fail(err)
-			}
-			names := make([]string, 0, len(b.Tenants))
-			for _, t := range b.Tenants {
-				names = append(names, t.Name)
-			}
-			srv := &http.Server{Handler: obs.Handler(pl, func() any {
-				return map[string]any{
-					"tenants":        names,
-					"active_buckets": s.Staging().ActiveBuckets(),
-				}
-			})}
-			go srv.Serve(ln)
-			fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
-			stop = func() { srv.Close() }
+	names := make([]string, 0, len(b.Tenants))
+	for _, t := range b.Tenants {
+		names = append(names, t.Name)
+	}
+	pl, stop, err := setupObs(w, s.EnableObs, func() any {
+		return map[string]any{
+			"tenants":        names,
+			"active_buckets": s.Staging().ActiveBuckets(),
 		}
+	}, o)
+	if err != nil {
+		return err
 	}
 
 	reps, err := s.Run(steps)
@@ -335,46 +291,89 @@ func runMulti(b *registry.Built, steps int, obsAddr, obsDump string, hold bool) 
 		// Analysis-route failures (e.g. a drill route's deliberate
 		// crashes) leave the per-tenant reports usable; surface the
 		// error and summarize what ran.
-		fmt.Printf("run finished with analysis errors: %v\n\n", err)
+		fmt.Fprintf(w, "run finished with analysis errors: %v\n\n", err)
 	}
-	defer finishObs(pl, stop, obsDump, hold && obsAddr != "")
+	defer finishObs(w, stop, o.hold && o.obsAddr != "")
+	if err := dumpObs(w, pl, o.dump); err != nil {
+		return err
+	}
+	printSummary(w, b, reps)
+	return nil
+}
 
+// printSummary prints the run summary every config gets, one tenant or
+// many: each tenant's overload and resilience counters, worst step
+// wall and endpoint traffic; the fabric's quarantine, bucket pool and
+// credits; and for every hybrid route when it last ran degraded, its
+// breaker position and, if the quarantine ever opened it, its
+// quarantine state. reps holds each tenant's report by name.
+func printSummary(w io.Writer, b *registry.Built, reps map[string]*core.Report) {
+	steps := b.Steps()
 	for _, t := range b.Tenants {
 		rep := reps[t.Name]
 		if rep == nil {
 			continue
+		}
+		if t.Name != "" {
+			fmt.Fprintf(w, "tenant %s:\n", t.Name)
 		}
 		o := rep.Overload
+		fmt.Fprintln(w, "overload control:")
+		fmt.Fprintf(w, "  credits denied       %d\n", o.CreditsDenied)
+		fmt.Fprintf(w, "  steps shaped         %d\n", o.StepsShaped)
+		fmt.Fprintf(w, "  steps shed           %d\n", o.StepsShed)
+		fmt.Fprintf(w, "  in-situ fallbacks    %d\n", o.StepsFallback)
+		fmt.Fprintf(w, "  breaker opens        %d\n", o.BreakerOpens)
+		fmt.Fprintf(w, "  breaker transitions  %d\n", o.BreakerTransitions)
 		r := rep.Resilience
-		fmt.Printf("tenant %s:\n", t.Name)
-		fmt.Printf("  worst step wall      %v\n", rep.Metrics.MaxStepWall().Round(1e3))
-		fmt.Printf("  steps shaped/shed    %d/%d\n", o.StepsShaped, o.StepsShed)
-		fmt.Printf("  in-situ fallbacks    %d\n", o.StepsFallback)
-		fmt.Printf("  breaker opens        %d\n", o.BreakerOpens)
-		fmt.Printf("  retries/dead letters %d/%d\n", r.Retries, r.DeadLetters)
-		for _, ep := range s.TenantEndpoints(t.Name) {
-			st := ep.Stats()
-			fmt.Printf("  endpoint %-16s %d retries, %d crc failures, %.3f MB moved\n",
-				ep.Name(), st.Retries, st.ChecksumFailures, float64(ep.TransferBytes())/1e6)
+		fmt.Fprintln(w, "resilience:")
+		fmt.Fprintf(w, "  faults injected      %d\n", r.Faults)
+		fmt.Fprintf(w, "  retries              %d\n", r.Retries)
+		fmt.Fprintf(w, "  requeues             %d\n", r.Requeues)
+		fmt.Fprintf(w, "  dead letters         %d\n", r.DeadLetters)
+		fmt.Fprintf(w, "  degraded steps       %d\n", r.DegradedSteps)
+		fmt.Fprintf(w, "  worst step wall      %v\n", rep.Metrics.MaxStepWall().Round(1e3))
+		if b.Scheduler != nil {
+			for _, ep := range b.Scheduler.TenantEndpoints(t.Name) {
+				st := ep.Stats()
+				fmt.Fprintf(w, "  endpoint %-16s %d retries, %d crc failures, %.3f MB moved\n",
+					ep.Name(), st.Retries, st.ChecksumFailures, float64(ep.TransferBytes())/1e6)
+			}
 		}
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("\nshared fabric:")
-	q := s.Quarantine()
-	fmt.Printf("  quarantine           %d opens, %d releases\n", q.Opens(), q.Releases())
-	if a := s.Autoscaler(); a != nil {
-		fmt.Printf("  bucket pool          %d grows, %d shrinks, %d active\n",
-			a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
+	// Every tenant pipeline reads the fabric's one credit account.
+	credits := b.Tenants[0].Pipeline.Credits()
+	s := b.Scheduler
+	if s != nil || credits != nil {
+		fmt.Fprintln(w, "fabric:")
+		if s != nil {
+			q := s.Quarantine()
+			fmt.Fprintf(w, "  quarantine           %d opens, %d releases\n", q.Opens(), q.Releases())
+			if a := s.Autoscaler(); a != nil {
+				fmt.Fprintf(w, "  bucket pool          %d grows, %d shrinks, %d active\n",
+					a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
+			}
+		}
+		if credits != nil {
+			out, avail, total := credits.Snapshot()
+			fmt.Fprintf(w, "  credits              %d/%d available, %d outstanding\n", avail, total, out)
+		}
+		fmt.Fprintln(w)
 	}
-	out, avail, total := s.Credits().Snapshot()
-	fmt.Printf("  credits              %d/%d available, %d outstanding\n", avail, total, out)
 
-	fmt.Println("\nrecovery:")
+	fmt.Fprintln(w, "recovery:")
 	for _, t := range b.Tenants {
 		rep := reps[t.Name]
 		if rep == nil {
 			continue
 		}
+		prefix := ""
+		if t.Name != "" {
+			prefix = t.Name + "/"
+		}
+		breakers := t.Pipeline.BreakerStates()
 		for _, route := range t.Routes {
 			lastDegraded := 0
 			for step := 1; step <= steps; step++ {
@@ -383,198 +382,48 @@ func runMulti(b *registry.Built, steps int, obsAddr, obsDump string, hold bool) 
 				}
 			}
 			if lastDegraded == 0 {
-				fmt.Printf("  %s/%-28s never degraded\n", t.Name, route)
+				fmt.Fprintf(w, "  %s%-28s never degraded\n", prefix, route)
 			} else {
-				fmt.Printf("  %s/%-28s full hybrid again from step %d/%d\n",
-					t.Name, route, lastDegraded+1, steps)
+				fmt.Fprintf(w, "  %s%-28s full hybrid again from step %d/%d\n",
+					prefix, route, lastDegraded+1, steps)
 			}
-		}
-	}
-}
-
-// runBrownout runs the fixed-seed slow-consumer brownout (the same
-// configuration the TestBrownoutSoak acceptance soak uses) and prints
-// the overload-control summary: what was shaped, shed, or run in-situ,
-// how the breakers cycled, and when each route recovered full hybrid.
-func runBrownout(obsAddr, obsDump string, hold bool) {
-	fmt.Printf("s3dpipe: staging brownout, %d steps, slowdown x%d over decisions [%d,%d), seed %d\n\n",
-		workload.BrownoutSteps, workload.BrownoutFactor, workload.BrownoutFrom, workload.BrownoutUntil, workload.BrownoutSeed)
-	p, routes, err := workload.NewBrownoutPipeline(true)
-	if err != nil {
-		fail(err)
-	}
-	pl, stop := setupObs(p, obsAddr, obsDump)
-	rep, err := p.Run(workload.BrownoutSteps)
-	if err != nil {
-		fail(err)
-	}
-	defer finishObs(pl, stop, obsDump, hold && obsAddr != "")
-
-	o := rep.Overload
-	fmt.Println("overload control:")
-	fmt.Printf("  credits denied       %d\n", o.CreditsDenied)
-	fmt.Printf("  steps shaped         %d\n", o.StepsShaped)
-	fmt.Printf("  steps shed           %d\n", o.StepsShed)
-	fmt.Printf("  in-situ fallbacks    %d\n", o.StepsFallback)
-	fmt.Printf("  breaker opens        %d\n", o.BreakerOpens)
-	fmt.Printf("  breaker transitions  %d\n", o.BreakerTransitions)
-	r := rep.Resilience
-	fmt.Println("resilience:")
-	fmt.Printf("  faults injected      %d\n", r.Faults)
-	fmt.Printf("  retries              %d\n", r.Retries)
-	fmt.Printf("  requeues             %d\n", r.Requeues)
-	fmt.Printf("  dead letters         %d\n", r.DeadLetters)
-	fmt.Printf("  degraded steps       %d\n", r.DegradedSteps)
-
-	fmt.Println("\nrecovery:")
-	for _, name := range routes {
-		lastDegraded := 0
-		for step := 1; step <= workload.BrownoutSteps; step++ {
-			if _, ok := rep.Result(name, step).(core.Degraded); ok {
-				lastDegraded = step
+			if st, ok := breakers[route]; ok {
+				fmt.Fprintf(w, "  %s%-28s breaker %v\n", prefix, route, st)
 			}
-		}
-		if lastDegraded == 0 {
-			fmt.Printf("  %-28s never degraded\n", name)
-		} else {
-			fmt.Printf("  %-28s full hybrid again from step %d/%d\n",
-				name, lastDegraded+1, workload.BrownoutSteps)
-		}
-	}
-	for name, st := range p.BreakerStates() {
-		fmt.Printf("  %-28s breaker %v\n", name, st)
-	}
-	c := p.Credits()
-	fmt.Printf("  credits drained: %d/%d available, %d outstanding\n",
-		c.Available(), c.Total(), c.Outstanding())
-	fmt.Printf("  worst step wall: %v\n", rep.Metrics.MaxStepWall().Round(1e3))
-}
-
-// runTenants runs the fixed-seed multi-tenant noisy-neighbor scenario
-// (the same configuration the TestNoisyNeighborSoak acceptance soak
-// uses) and prints the per-tenant fabric summary: how each tenant's
-// admission plane behaved, what the quarantine did to the poison
-// route, how the autoscaler moved the shared bucket pool, and what
-// transfer noise each tenant's endpoints generated.
-func runTenants(obsAddr, obsDump string, hold bool) {
-	fmt.Printf("s3dpipe: multi-tenant fabric, %d steps, tenants %v + %s (noisy), slowdown x%d over decisions [%d,%d), seed %d\n\n",
-		workload.TenantSteps, workload.TenantVictims, workload.TenantNoisy,
-		workload.TenantSlowFactor, workload.TenantSlowFrom, workload.TenantSlowUntil, workload.TenantSeed)
-	s, routes, err := workload.NewTenantScheduler(true)
-	if err != nil {
-		fail(err)
-	}
-	var pl *obs.Plane
-	var stop func()
-	if obsAddr != "" || obsDump != "" {
-		pl = s.EnableObs()
-		if obsAddr != "" {
-			ln, err := net.Listen("tcp", obsAddr)
-			if err != nil {
-				fail(err)
-			}
-			srv := &http.Server{Handler: obs.Handler(pl, func() any {
-				return map[string]any{
-					"tenants":        append(append([]string(nil), workload.TenantVictims...), workload.TenantNoisy),
-					"active_buckets": s.Staging().ActiveBuckets(),
-				}
-			})}
-			go srv.Serve(ln)
-			fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
-			stop = func() { srv.Close() }
-		}
-	}
-	reps, err := s.Run(workload.TenantSteps)
-	if err != nil {
-		// The poison route's early handler crashes are the scenario
-		// working as designed; anything else is fatal.
-		if !strings.Contains(err.Error(), "poison: handler crash") {
-			fail(err)
-		}
-		fmt.Printf("expected poison-route failures: %v\n\n", err)
-	}
-	defer finishObs(pl, stop, obsDump, hold && obsAddr != "")
-
-	names := append(append([]string(nil), workload.TenantVictims...), workload.TenantNoisy)
-	for _, name := range names {
-		rep := reps[name]
-		o := rep.Overload
-		r := rep.Resilience
-		fmt.Printf("tenant %s:\n", name)
-		fmt.Printf("  worst step wall      %v\n", rep.Metrics.MaxStepWall().Round(1e3))
-		fmt.Printf("  steps shaped/shed    %d/%d\n", o.StepsShaped, o.StepsShed)
-		fmt.Printf("  in-situ fallbacks    %d\n", o.StepsFallback)
-		fmt.Printf("  breaker opens        %d\n", o.BreakerOpens)
-		fmt.Printf("  retries/dead letters %d/%d\n", r.Retries, r.DeadLetters)
-		for _, ep := range s.TenantEndpoints(name) {
-			st := ep.Stats()
-			fmt.Printf("  endpoint %-16s %d retries, %d crc failures, %.3f MB moved\n",
-				ep.Name(), st.Retries, st.ChecksumFailures, float64(ep.TransferBytes())/1e6)
-		}
-	}
-
-	fmt.Println("\nshared fabric:")
-	q := s.Quarantine()
-	fmt.Printf("  quarantine           %d opens, %d releases, %s/%s now %v\n",
-		q.Opens(), q.Releases(), workload.TenantNoisy, workload.PoisonRouteName,
-		q.State(workload.TenantNoisy, workload.PoisonRouteName))
-	if a := s.Autoscaler(); a != nil {
-		fmt.Printf("  bucket pool          %d grows, %d shrinks, %d active\n",
-			a.Grows(), a.Shrinks(), s.Staging().ActiveBuckets())
-	}
-	out, avail, total := s.Credits().Snapshot()
-	fmt.Printf("  credits              %d/%d available, %d outstanding\n", avail, total, out)
-
-	fmt.Println("\nrecovery:")
-	for _, name := range workload.TenantVictims {
-		rep := reps[name]
-		for _, route := range routes {
-			lastDegraded := 0
-			for step := 1; step <= workload.TenantSteps; step++ {
-				if _, ok := rep.Result(route, step).(core.Degraded); ok {
-					lastDegraded = step
-				}
-			}
-			if lastDegraded == 0 {
-				fmt.Printf("  %s/%-28s never degraded\n", name, route)
-			} else {
-				fmt.Printf("  %s/%-28s full hybrid again from step %d/%d\n",
-					name, route, lastDegraded+1, workload.TenantSteps)
+			if s != nil && s.Quarantine().Opened(t.Name, route) {
+				fmt.Fprintf(w, "  %s%-28s quarantine %v\n", prefix, route, s.Quarantine().State(t.Name, route))
 			}
 		}
 	}
 }
 
 // setupObs enables the observability plane when -obs or -obs-dump was
-// given and, for -obs, starts the live HTTP endpoint. It returns the
-// plane (nil when observability is off) and a server stop function
-// (nil when no endpoint was started).
-func setupObs(p *core.Pipeline, addr, dump string) (*obs.Plane, func()) {
-	if addr == "" && dump == "" {
-		return nil, nil
+// given and, for -obs, starts the live HTTP endpoint with status as
+// its /status document. It returns the plane (nil when observability
+// is off) and a server stop function (nil when no endpoint started).
+func setupObs(w io.Writer, enable func() *obs.Plane, status func() any, o options) (*obs.Plane, func(), error) {
+	if o.obsAddr == "" && o.dump == "" {
+		return nil, nil, nil
 	}
-	pl := p.EnableObs()
-	if addr == "" {
-		return pl, nil
+	pl := enable()
+	if o.obsAddr == "" {
+		return pl, nil, nil
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", o.obsAddr)
 	if err != nil {
-		fail(err)
+		return nil, nil, err
 	}
-	srv := &http.Server{Handler: obs.Handler(pl, func() any { return p.Status() })}
+	srv := &http.Server{Handler: obs.Handler(pl, status)}
 	go srv.Serve(ln)
-	fmt.Printf("observability endpoint on http://%s/\n\n", ln.Addr())
-	return pl, func() { srv.Close() }
+	fmt.Fprintf(w, "observability endpoint on http://%s/\n\n", ln.Addr())
+	return pl, func() { srv.Close() }, nil
 }
 
-// finishObs writes the post-run export files, optionally holds the
-// live endpoint open until SIGINT/SIGTERM, and shuts the server down.
-func finishObs(pl *obs.Plane, stop func(), dump string, hold bool) {
-	if pl != nil && dump != "" {
-		dumpObs(dump, pl)
-	}
+// finishObs optionally holds the live endpoint open until
+// SIGINT/SIGTERM, then shuts the server down.
+func finishObs(w io.Writer, stop func(), hold bool) {
 	if hold {
-		fmt.Println("holding observability endpoint open; SIGINT/SIGTERM to exit")
+		fmt.Fprintln(w, "holding observability endpoint open; SIGINT/SIGTERM to exit")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
 		<-ch
@@ -584,28 +433,36 @@ func finishObs(pl *obs.Plane, stop func(), dump string, hold bool) {
 	}
 }
 
-// dumpObs writes trace.json, events.jsonl, and metrics.prom under dir.
-// Each export is rendered in memory and landed with an atomic
-// temp-file+rename, so a crash mid-dump never leaves a torn artifact
-// where a previous run's good one stood.
-func dumpObs(dir string, pl *obs.Plane) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
+// dumpObs writes trace.json, events.jsonl, and metrics.prom under dir
+// (nothing when dir is empty). Each export is rendered in memory and
+// landed with an atomic temp-file+rename, so a crash mid-dump never
+// leaves a torn artifact where a previous run's good one stood.
+func dumpObs(w io.Writer, pl *obs.Plane, dir string) error {
+	if dir == "" {
+		return nil
 	}
-	write := func(name string, render func(io.Writer) error) {
-		path := filepath.Join(dir, name)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name   string
+		render func(io.Writer) error
+	}{
+		{"trace.json", func(w io.Writer) error { return obs.WriteChromeTrace(w, pl.Recorder()) }},
+		{"events.jsonl", func(w io.Writer) error { return obs.WriteJSONL(w, pl.Recorder()) }},
+		{"metrics.prom", pl.Registry().WritePrometheus},
+	} {
+		path := filepath.Join(dir, f.name)
 		var buf bytes.Buffer
-		if err := render(&buf); err != nil {
-			fail(err)
+		if err := f.render(&buf); err != nil {
+			return err
 		}
 		if err := recovery.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Println("wrote", path)
+		fmt.Fprintln(w, "wrote", path)
 	}
-	write("trace.json", func(w io.Writer) error { return obs.WriteChromeTrace(w, pl.Recorder()) })
-	write("events.jsonl", func(w io.Writer) error { return obs.WriteJSONL(w, pl.Recorder()) })
-	write("metrics.prom", func(w io.Writer) error { return pl.Registry().WritePrometheus(w) })
+	return nil
 }
 
 // lastDue returns the last step at which a cadence-every analysis ran.
@@ -614,16 +471,4 @@ func lastDue(steps, every int) int {
 		every = 1
 	}
 	return steps - steps%every
-}
-
-func save(img *render.Image, path string) {
-	if err := img.SavePNG(path); err != nil {
-		fail(err)
-	}
-	fmt.Println("wrote", path)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "s3dpipe:", err)
-	os.Exit(1)
 }

@@ -96,6 +96,7 @@ type qroute struct {
 	strikes  int
 	denials  int
 	inflight bool // QProbing: one probe task outstanding
+	opened   bool // the route has been quarantined at least once
 }
 
 type qkey struct{ tenant, analysis string }
@@ -179,6 +180,7 @@ func (q *Quarantine) Settle(tenant, analysis string, ok bool) {
 		r.state = QOpen
 		r.strikes = 0
 		r.denials = 0
+		r.opened = true
 		q.opens++
 	}
 }
@@ -223,6 +225,15 @@ func (q *Quarantine) State(tenant, analysis string) QState {
 		return QClosed
 	}
 	return r.state
+}
+
+// Opened reports whether the route has entered quarantine at least
+// once, whatever its state now.
+func (q *Quarantine) Opened(tenant, analysis string) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	r := q.routes[qkey{tenant, analysis}]
+	return r != nil && r.opened
 }
 
 // Opens returns how many times any route entered quarantine.

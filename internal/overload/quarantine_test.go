@@ -23,6 +23,9 @@ func TestQuarantineStrikesOpenAndProbeRelease(t *testing.T) {
 	if st := q.State("a", "viz"); st != QClosed {
 		t.Fatalf("state after reset = %v, want closed", st)
 	}
+	if q.Opened("a", "viz") {
+		t.Fatal("route reported opened before it was ever quarantined")
+	}
 
 	// Three consecutive strikes open the quarantine.
 	for i := 0; i < 3; i++ {
@@ -70,6 +73,9 @@ func TestQuarantineStrikesOpenAndProbeRelease(t *testing.T) {
 	if q.Releases() != 1 {
 		t.Fatalf("releases = %d, want 1", q.Releases())
 	}
+	if !q.Opened("a", "viz") {
+		t.Fatal("released route no longer reports it was quarantined")
+	}
 	if v := q.Allow("a", "viz"); v != QAdmit {
 		t.Fatalf("allow after release = %v, want admit", v)
 	}
@@ -87,6 +93,9 @@ func TestQuarantineRoutesAreIndependent(t *testing.T) {
 	// under the same tenant, both stay closed.
 	if q.Barred("victim", "poison") || q.Barred("noisy", "viz") {
 		t.Fatal("quarantine leaked across routes")
+	}
+	if q.Opened("victim", "poison") || q.Opened("noisy", "viz") || !q.Opened("noisy", "poison") {
+		t.Fatal("Opened does not track routes independently")
 	}
 	if v := q.Allow("victim", "poison"); v != QAdmit {
 		t.Fatalf("victim allow = %v, want admit", v)

@@ -54,22 +54,19 @@ func (b *Built) Close() error {
 	return nil
 }
 
-// Steps resolves the run length: the explicit argument when > 0, else
-// the config's steps, else def.
-func (b *Built) Steps(explicit, def int) int {
-	if explicit > 0 {
-		return explicit
-	}
-	if b.Config.Steps > 0 {
-		return b.Config.Steps
-	}
-	return def
+// DefaultSteps is the run length of a config that omits steps.
+const DefaultSteps = 5
+
+// Steps is the run length: the config's steps, or DefaultSteps when
+// the config omits it.
+func (b *Built) Steps() int {
+	return defaultInt(b.Config.Steps, DefaultSteps)
 }
 
 // Build validates cfg and constructs the declared topology, routing
 // every analysis through the registry. It is the single construction
-// path for config-declared runs — the legacy flag path and the
-// -config path both end here, which is what makes them byte-identical.
+// path for declared pipelines: s3dpipe, pipecheck and the workload
+// scenarios all build here.
 func Build(cfg *Config) (*Built, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 		t.Fatalf("Build: %v", err)
 	}
 	defer b.Close()
-	steps := b.Steps(0, 4)
+	steps := b.Steps()
 	rep, err := b.Pipeline.Run(steps)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -44,39 +44,48 @@ func runDigests(t *testing.T, cfg *registry.Config) map[string]string {
 	return out
 }
 
-// TestLegacyFlagAndConfigFileRunsMatch is the equivalence acceptance
-// test: the legacy flag path (LegacyOptions → Config) and the -config
-// file path (Marshal → LoadConfig) must build pipelines whose runs
-// produce identical result digests for every analysis at every step.
+// TestConfigFileRunMatchesInMemoryConfig is the equivalence
+// acceptance test for the file format: a config written to disk with
+// Marshal and read back with LoadConfig must build a pipeline whose
+// run produces the same result digest as the in-memory config, for
+// every analysis at every step.
 //
 // The analysis set includes topology and contingency, whose results
 // hold nested pointers: ResultDigest digests their pointees, so two
 // runs that compute the same trees and tables digest identically.
-func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
-	opts := registry.LegacyOptions{
-		NX: 16, NY: 12, NZ: 8,
-		PX: 2, PY: 1, PZ: 1,
-		Steps: 4, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "both", VizMode: "both",
-		Topology:    true,
-		Contingency: true,
-		Assess:      true,
-		Factor:      4,
-		Seed:        1,
+func TestConfigFileRunMatchesInMemoryConfig(t *testing.T) {
+	buckets := 2
+	every := func(name string, p registry.Params) registry.AnalysisConfig {
+		p.Every = 1
+		return registry.AnalysisConfig{Analysis: name, Params: p}
 	}
-	fromFlags, err := opts.Config()
-	if err != nil {
-		t.Fatalf("LegacyOptions.Config: %v", err)
+	inMemory := &registry.Config{
+		Name:  "equivalence",
+		Steps: 4,
+		Fabric: registry.FabricConfig{
+			DSServers: 2,
+			Buckets:   &buckets,
+			Net:       registry.NetConfig{Profile: "gemini"},
+		},
+		Tenants: []registry.TenantConfig{{
+			Sim: registry.SimConfig{NX: 16, NY: 12, NZ: 8, PX: 2, PY: 1, PZ: 1, SubSteps: 1, Seed: 1},
+			Analyses: []registry.AnalysisConfig{
+				every("stats", registry.Params{Placement: registry.PlaceInSitu}),
+				every("stats", registry.Params{Placement: registry.PlaceHybrid}),
+				every("viz", registry.Params{Placement: registry.PlaceInSitu, Width: 320, Height: 240}),
+				every("viz", registry.Params{Placement: registry.PlaceHybrid, Width: 320, Height: 240, Factor: 4}),
+				every("topology", registry.Params{Placement: registry.PlaceHybrid, SimplifyEps: 0.05, FeatureThreshold: 1.0}),
+				every("contingency", registry.Params{Placement: registry.PlaceHybrid}),
+				every("assess", registry.Params{Placement: registry.PlaceInSitu}),
+			},
+		}},
 	}
 
-	// Round-trip through the file format, exactly like -dump-config
-	// followed by -config.
-	data, err := fromFlags.Marshal()
+	data, err := inMemory.Marshal()
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "legacy.json")
+	path := filepath.Join(t.TempDir(), "equivalence.json")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -85,20 +94,20 @@ func TestLegacyFlagAndConfigFileRunsMatch(t *testing.T) {
 		t.Fatalf("LoadConfig: %v", err)
 	}
 
-	flagRun := runDigests(t, fromFlags)
+	memRun := runDigests(t, inMemory)
 	fileRun := runDigests(t, fromFile)
 
-	if len(flagRun) != len(fileRun) {
-		t.Fatalf("result counts differ: flags %d, file %d", len(flagRun), len(fileRun))
+	if len(memRun) != len(fileRun) {
+		t.Fatalf("result counts differ: in-memory %d, file %d", len(memRun), len(fileRun))
 	}
-	for key, want := range flagRun {
+	for key, want := range memRun {
 		got, ok := fileRun[key]
 		if !ok {
 			t.Errorf("config-file run missing result %s", key)
 			continue
 		}
 		if got != want {
-			t.Errorf("digest mismatch at %s: flags %s, file %s", key, want, got)
+			t.Errorf("digest mismatch at %s: in-memory %s, file %s", key, want, got)
 		}
 	}
 }
@@ -179,7 +188,7 @@ func TestBuildMultiTenantShape(t *testing.T) {
 		t.Fatalf("Tenants = %+v, want a then b", b.Tenants)
 	}
 
-	reps, err := b.Scheduler.Run(b.Steps(0, 2))
+	reps, err := b.Scheduler.Run(b.Steps())
 	if err != nil {
 		t.Fatalf("Scheduler.Run: %v", err)
 	}

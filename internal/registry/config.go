@@ -24,8 +24,7 @@ import (
 type Config struct {
 	// Name labels the run in output and tooling (optional).
 	Name string `json:"name,omitempty"`
-	// Steps is the default step count when the launcher's -steps flag
-	// is not given (0 = launcher default).
+	// Steps is the run length (0 = DefaultSteps).
 	Steps int `json:"steps,omitempty"`
 	// Fabric configures the shared transit tier: DataSpaces shards,
 	// staging buckets, the modeled interconnect, and the scheduler-
@@ -368,6 +367,9 @@ func (c *Config) Validate() error {
 		}
 	}
 
+	if c.Steps < 0 {
+		fail("steps", fmt.Errorf("%w: negative step count %d", ErrBadParam, c.Steps))
+	}
 	if c.Fabric.DSServers < 0 {
 		fail("fabric.ds_servers", fmt.Errorf("%w: negative shard count %d", ErrBadParam, c.Fabric.DSServers))
 	}
@@ -382,9 +384,17 @@ func (c *Config) Validate() error {
 	if c.Fabric.Net.TimeScale < 0 {
 		fail("fabric.net.time_scale", fmt.Errorf("%w: negative time scale %v", ErrBadParam, c.Fabric.Net.TimeScale))
 	}
+	if c.Fabric.MaxTaskAttempts < 0 {
+		fail("fabric.max_task_attempts", fmt.Errorf("%w: negative attempt budget %d", ErrBadParam, c.Fabric.MaxTaskAttempts))
+	}
 
-	if c.Recovery != nil && c.Recovery.Dir == "" {
-		fail("recovery.dir", fmt.Errorf("%w: recovery requires a directory", ErrBadParam))
+	if c.Recovery != nil {
+		if c.Recovery.Dir == "" {
+			fail("recovery.dir", fmt.Errorf("%w: recovery requires a directory", ErrBadParam))
+		}
+		if c.Recovery.EverySteps < 0 {
+			fail("recovery.every_steps", fmt.Errorf("%w: negative checkpoint cadence %d", ErrBadParam, c.Recovery.EverySteps))
+		}
 	}
 	if c.Store != nil && c.Store.Dir == "" {
 		fail("store.dir", fmt.Errorf("%w: the store requires a directory", ErrBadParam))

@@ -17,6 +17,7 @@ func TestParseConfigMalformed(t *testing.T) {
 		name string
 		src  string
 		want error
+		path string // when set, the ValidationError must name this path
 	}{
 		{
 			name: "unknown analysis",
@@ -119,6 +120,30 @@ func TestParseConfigMalformed(t *testing.T) {
 			want: registry.ErrBadParam,
 		},
 		{
+			name: "negative step count",
+			src: `{"steps": -3,
+				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
+			want: registry.ErrBadParam,
+			path: "steps",
+		},
+		{
+			name: "negative checkpoint cadence",
+			src: `{"recovery": {"dir": "out/j", "every_steps": -1},
+				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
+			want: registry.ErrBadParam,
+			path: "recovery.every_steps",
+		},
+		{
+			name: "negative task attempt budget",
+			src: `{"fabric": {"max_task_attempts": -1},
+				"tenants": [{"sim": {"nx": 8, "ny": 8, "nz": 8, "px": 1, "py": 1, "pz": 1},
+				"analyses": [{"analysis": "stats", "placement": "hybrid"}]}]}`,
+			want: registry.ErrBadParam,
+			path: "fabric.max_task_attempts",
+		},
+		{
 			name: "slowdown scoped to unknown tenant",
 			src: `{"faults": {"slowdowns": [{"from": 1, "until": 5, "tenant": "ghost", "factor": 10}]},
 				"tenants": [
@@ -144,6 +169,10 @@ func TestParseConfigMalformed(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("error = %v, want errors.Is %v", err, tc.want)
+			}
+			var verr *registry.ValidationError
+			if tc.path != "" && (!errors.As(err, &verr) || verr.Path != tc.path) {
+				t.Fatalf("error = %v, want it at path %q", err, tc.path)
 			}
 		})
 	}

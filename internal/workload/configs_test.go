@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"insitu/internal/registry"
@@ -33,8 +35,8 @@ func TestExampleConfigsLoad(t *testing.T) {
 // pinned asserts a checked-in example file is byte-identical to its
 // code-generated source config. This is what makes the examples
 // executable documentation: drift in either direction fails CI, and
-// (for the scenario configs) it proves the -config path loads the
-// exact pipeline the flag path builds.
+// the soaks that build the source config run exactly the pipeline
+// `s3dpipe -config` runs from the file.
 func pinned(t *testing.T, file string, cfg *registry.Config) {
 	t.Helper()
 	want, err := cfg.Marshal()
@@ -59,61 +61,74 @@ func TestBrownoutExamplePinned(t *testing.T) {
 	pinned(t, "brownout.json", BrownoutConfig(true))
 }
 
-func TestStoreServeExamplePinned(t *testing.T) {
-	cfg, err := registry.LegacyOptions{
-		NX: 32, NY: 24, NZ: 8, PX: 2, PY: 2, PZ: 1,
-		Steps: 6, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "off", VizMode: "hybrid",
-		Factor: 4, Cameras: 4, Seed: 1,
-		StoreDir: "out/s3d-store",
-	}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Name = "store-serve"
-	cfg.Store.Serve = ":8080"
-	pinned(t, "store-serve.json", cfg)
-}
-
-func TestRecoveryExamplePinned(t *testing.T) {
-	cfg, err := registry.LegacyOptions{
-		NX: 32, NY: 24, NZ: 8, PX: 2, PY: 2, PZ: 1,
-		Steps: 8, Every: 1, SubSteps: 1,
-		Buckets: 2, Servers: 2,
-		StatsMode: "hybrid", VizMode: "off",
-		Topology: true, Seed: 1,
-		Journal: "out/s3d-journal", CkptEvery: 4,
-	}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Name = "recovery"
-	pinned(t, "recovery.json", cfg)
-}
-
-// TestScenarioConfigsRoundTrip: the scenario configs survive a
-// marshal/parse round trip unchanged — what guarantees a user can dump
-// them, edit, and reload without surprises.
+// TestScenarioConfigsRoundTrip: the scenario configs and every
+// checked-in example survive a marshal/parse round trip unchanged —
+// what guarantees a user can marshal a config, edit it, and reload it
+// without surprises. Each example file must also say exactly what its
+// loaded config holds: the file and the marshaled config decode to the
+// same JSON tree, so no key in the file is dropped, defaulted or
+// renamed on load.
 func TestScenarioConfigsRoundTrip(t *testing.T) {
-	for _, cfg := range []*registry.Config{
-		TenantsConfig(true), TenantsConfig(false),
-		BrownoutConfig(true), BrownoutConfig(false),
-	} {
+	roundTrip := func(t *testing.T, cfg *registry.Config) []byte {
+		t.Helper()
 		data, err := cfg.Marshal()
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+			t.Fatal(err)
 		}
 		back, err := registry.ParseConfig(data)
 		if err != nil {
-			t.Fatalf("%s: re-parse: %v", cfg.Name, err)
+			t.Fatalf("re-parse: %v", err)
 		}
 		data2, err := back.Marshal()
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+			t.Fatal(err)
 		}
 		if !bytes.Equal(data, data2) {
-			t.Errorf("%s does not round-trip:\n%s\nvs\n%s", cfg.Name, data, data2)
+			t.Errorf("does not round-trip:\n%s\nvs\n%s", data, data2)
 		}
+		return data
+	}
+	for _, sc := range []struct {
+		name string
+		cfg  *registry.Config
+	}{
+		{"tenants-noisy", TenantsConfig(true)},
+		{"tenants-healthy", TenantsConfig(false)},
+		{"brownout", BrownoutConfig(true)},
+		{"brownout-unloaded", BrownoutConfig(false)},
+	} {
+		t.Run(sc.name, func(t *testing.T) { roundTrip(t, sc.cfg) })
+	}
+
+	paths, err := filepath.Glob(filepath.Join(configsDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatalf("no example configs under %s", configsDir)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			cfg, err := registry.LoadConfig(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := roundTrip(t, cfg)
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fromFile, fromConfig any
+			if err := json.Unmarshal(file, &fromFile); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &fromConfig); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fromFile, fromConfig) {
+				t.Errorf("%s does not say what its loaded config holds:\n--- file ---\n%s--- config ---\n%s",
+					path, file, data)
+			}
+		})
 	}
 }

@@ -22,8 +22,8 @@ import (
 // results, byte-identical final checkpoint files, and no leaked
 // credits or pinned buffers.
 //
-// All constants are exported so the soak test and the s3dpipe
-// -journal/-resume scenario run the identical configuration.
+// All constants are exported so every caller of the gate runs the
+// identical configuration.
 const (
 	// CrashMatrixSteps is the run length in simulation steps.
 	CrashMatrixSteps = 10

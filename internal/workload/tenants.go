@@ -21,8 +21,8 @@ import (
 // quarantined and later released by a half-open probe, the autoscaler
 // widens the bucket pool under pressure, and nothing leaks.
 //
-// All constants are exported so the soak test and the s3dpipe -tenants
-// scenario run the identical configuration.
+// All constants are exported so the soak test and
+// examples/configs/tenants.json declare the identical configuration.
 const (
 	// TenantSteps is the length of the soak in simulation steps.
 	TenantSteps = 40
