@@ -9,9 +9,11 @@
 #                   x-compression, max-err) against the committed
 #                   BENCH_PR6.json with a 10% tolerance
 #   make fuzz-smoke 10s coverage-guided fuzz of the codec frame decoder
-#                   (typed errors only, never a panic) and 10s of the
+#                   (typed errors only, never a panic), 10s of the
 #                   pipeline-config parser (never a panic; every accepted
-#                   config is a marshal fixed point)
+#                   config is a marshal fixed point) and 10s of the merge
+#                   subtree decoder (typed errors only, never a panic; an
+#                   accepted payload re-marshals to its own prefix)
 #   make chaos      race-enabled chaos suite: fixed-seed soak (50 steps
 #                   under drops/timeouts/corruption/partition/crash)
 #                   plus a short randomized-seed smoke
@@ -107,6 +109,7 @@ bench-gate:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/codec/
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 10s ./internal/registry/
+	$(GO) test -run xxx -fuzz FuzzUnmarshalSubtree -fuzztime 10s ./internal/mergetree/
 
 chaos:
 	$(GO) test -race -run TestChaosSoak -count=1 -v ./internal/core/

@@ -244,8 +244,9 @@ func (p *Pipeline) commitDigests(s int) (map[string]string, bool) {
 
 // ResultDigest hashes an analysis result into the short stable token
 // the recovery journal commits — exported so equivalence tests (e.g.
-// legacy-flag path vs config path) can compare whole runs result by
-// result without depending on the journal.
+// an in-memory config vs the same config loaded from a file) can
+// compare whole runs result by result without depending on the
+// journal.
 func ResultDigest(v any) string { return resultDigest(v) }
 
 // resultDigest hashes a stored analysis result into a short stable
@@ -263,8 +264,9 @@ func resultDigest(v any) string {
 // in id order (id, value bits, down id) followed by its features, and a
 // contingency result with its table's contents. A TopologyResult's
 // Stream is left out: those are the builder's work counters, not
-// results, and its eviction order can move PeakLive between identical
-// runs.
+// results. They depend on the order edges reach the builder, and the
+// streaming variant takes subtrees in arrival order, so SpliceOps
+// varies between identical runs while the tree does not.
 func writeDigest(w io.Writer, v any) {
 	switch r := v.(type) {
 	case Degraded:

@@ -2,7 +2,7 @@ package mergetree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"insitu/internal/grid"
 	"insitu/internal/parallel"
@@ -11,43 +11,54 @@ import (
 // FromField computes the augmented merge tree of a scalar field over
 // its box using 6-neighbor (face) adjacency. Vertex ids are global
 // indices within the `global` box, so trees from different blocks of
-// one domain share ids on shared vertices. This is the low-overhead
-// in-core sweep run in-situ on each block.
+// one domain share ids on shared vertices. The field's box must lie
+// inside global. This is the low-overhead in-core sweep run in-situ on
+// each block.
 func FromField(f *grid.Field, global grid.Box) *Tree {
 	b := f.Box
-	d := b.Dims()
-	n := b.Size()
-	verts := make([]vertexRef, n)
-	for idx := 0; idx < n; idx++ {
-		i, j, k := b.Point(idx)
-		verts[idx] = vertexRef{id: grid.GlobalIndex(global, i, j, k), val: f.Data[idx]}
+	var s sweep
+	s.run(f.Data, boxNeighbors(b))
+	slab := make([]Node, len(f.Data))
+	for v := range slab {
+		slab[v] = Node{ID: globalID(global, b, v), Value: f.Data[v]}
 	}
-	// Face adjacency expressed in local linear offsets.
-	var nbuf [6]int
-	neighbors := func(idx int) []int {
-		i, j, k := b.Point(idx)
-		out := nbuf[:0]
-		if i > b.Lo[0] {
-			out = append(out, idx-1)
+	return s.tree(slab)
+}
+
+// boxNeighbors returns the face adjacency of the points of box b,
+// numbered by local linear offset. Inside one box, offset order equals
+// global-id order, so a sweep over offsets breaks ties like Above.
+func boxNeighbors(b grid.Box) func(v int32, buf []int32) []int32 {
+	d := b.Dims()
+	dx, dxy := int32(d[0]), int32(d[0]*d[1])
+	return func(v int32, out []int32) []int32 {
+		i, j, k := v%dx, v%dxy/dx, v/dxy
+		if i > 0 {
+			out = append(out, v-1)
 		}
-		if i < b.Hi[0]-1 {
-			out = append(out, idx+1)
+		if i < dx-1 {
+			out = append(out, v+1)
 		}
-		if j > b.Lo[1] {
-			out = append(out, idx-d[0])
+		if j > 0 {
+			out = append(out, v-dx)
 		}
-		if j < b.Hi[1]-1 {
-			out = append(out, idx+d[0])
+		if int(j) < d[1]-1 {
+			out = append(out, v+dx)
 		}
-		if k > b.Lo[2] {
-			out = append(out, idx-d[0]*d[1])
+		if k > 0 {
+			out = append(out, v-dxy)
 		}
-		if k < b.Hi[2]-1 {
-			out = append(out, idx+d[0]*d[1])
+		if int(k) < d[2]-1 {
+			out = append(out, v+dxy)
 		}
 		return out
 	}
-	return build(verts, neighbors)
+}
+
+// globalID is the global id of local offset v of box b.
+func globalID(global, b grid.Box, v int) int64 {
+	i, j, k := b.Point(v)
+	return grid.GlobalIndex(global, i, j, k)
 }
 
 // BoundaryPolicy selects which vertices, besides critical points, a
@@ -120,74 +131,138 @@ func LocalSubtrees(fields []*grid.Field, global grid.Box, blocks []grid.Box, pol
 	return subtrees, nil
 }
 
-// LocalSubtree runs the full in-situ stage for one rank: extract the
+// LocalSubtree runs the full in-situ stage for one rank: sweep the
 // extended block (owned block grown by one ghost layer, clipped to the
-// global domain) from the rank's field, sweep it, reduce it under the
-// policy, and package the result. The field must cover the extended
-// block; typically it is the rank's ghosted field.
+// global domain) of the rank's field, reduce it under the policy, and
+// package the result. The field must cover the extended block;
+// typically it is the rank's ghosted field.
+//
+// The reduction runs on the sweep's index arrays without building a
+// *Tree, and the result is identical to
+// packSubtree(Reduce(FromField(block), keep), rank, owned): Verts in
+// sweep order, Edges grouped by their lower endpoint's sweep position
+// with ties broken by the upper endpoint's.
 func LocalSubtree(f *grid.Field, global, owned grid.Box, rank int, policy BoundaryPolicy) (*Subtree, error) {
 	ext := owned.Grow(1).Intersect(global)
 	if !f.Box.ContainsBox(ext) {
 		return nil, fmt.Errorf("mergetree: field box %v does not cover extended block %v", f.Box, ext)
 	}
-	blockField := f
+	vals := f.Data
 	if f.Box != ext {
-		blockField = f.Extract(ext)
+		vals = f.Extract(ext).Data
 	}
-	t := FromField(blockField, global)
+	var s sweep
+	s.run(vals, boxNeighbors(ext))
+	keep := keepFunc(vals, global, owned, ext, policy)
 
-	keep := keepFunc(t, global, owned, ext, policy)
-	red := Reduce(t, keep)
-	return packSubtree(red, rank, owned), nil
+	// Low-to-high pass: a vertex is retained unless it is regular and
+	// keep drops it. next (the union-find array, no longer needed)
+	// becomes each vertex's nearest retained vertex at or below it;
+	// for a retained vertex, down becomes its arc's lower end in the
+	// reduced tree and ups its reduced degree. Every write lands on the
+	// vertex being visited or on a lower, already visited one, so each
+	// entry is read before it is overwritten.
+	order, down, ups, next := s.order, s.down, s.ups, s.parent
+	nVerts, nEdges := 0, 0
+	for p := len(order) - 1; p >= 0; p-- {
+		v := order[p]
+		d := down[v]
+		if d >= 0 && ups[v] == 1 && (keep == nil || !keep(v)) {
+			next[v] = next[d]
+			continue
+		}
+		next[v] = v
+		nVerts++
+		ups[v] = 0
+		if d >= 0 {
+			rd := next[d]
+			down[v] = rd
+			ups[v]++
+			ups[rd]++
+			nEdges++
+		}
+	}
+
+	// High-to-low pass: emit Verts in sweep order, compact the retained
+	// vertices to the front of order, and turn ups into each retained
+	// vertex's first slot in Edges and next into its index in Verts.
+	st := &Subtree{Rank: rank, Block: owned, Verts: make([]SubtreeVert, nVerts), Edges: make([]Arc, nEdges)}
+	vi, slot := 0, int32(0)
+	for _, v := range order {
+		if next[v] != v {
+			continue
+		}
+		st.Verts[vi] = SubtreeVert{ID: globalID(global, ext, int(v)), Value: vals[v], Degree: int(ups[v])}
+		in := ups[v]
+		if down[v] >= 0 {
+			in--
+		}
+		ups[v] = slot
+		slot += in
+		next[v] = int32(vi)
+		order[vi] = v
+		vi++
+	}
+	// Upper endpoints in sweep order fill each lower endpoint's run of
+	// slots, so ties within a run come out in sweep order too.
+	for hi, v := range order[:nVerts] {
+		lo := down[v]
+		if lo < 0 {
+			continue
+		}
+		st.Edges[ups[lo]] = Arc{Hi: st.Verts[hi].ID, Lo: st.Verts[next[lo]].ID}
+		ups[lo]++
+	}
+	return st, nil
 }
 
-// keepFunc returns the vertex-retention predicate for a policy.
-func keepFunc(t *Tree, global, owned, ext grid.Box, policy BoundaryPolicy) func(n *Node) bool {
+// keepFunc returns the retention predicate of a policy over the local
+// offsets of ext, whose values are vals; nil retains nothing.
+func keepFunc(vals []float64, global, owned, ext grid.Box, policy BoundaryPolicy) func(v int32) bool {
 	switch policy {
 	case KeepNone:
-		return func(n *Node) bool { return false }
+		return nil
 	case KeepCornersAndBoundaryMaxima:
-		corners := map[int64]bool{}
-		for _, c := range owned.Corners() {
-			corners[grid.GlobalIndex(global, c[0], c[1], c[2])] = true
+		// The owned block's corners; a flat axis repeats them.
+		var corners [8]int32
+		for n := range corners {
+			c := owned.Lo
+			for d := range c {
+				if n>>d&1 == 1 {
+					c[d] = owned.Hi[d] - 1
+				}
+			}
+			corners[n] = int32(ext.Index(c[0], c[1], c[2]))
 		}
-		return func(n *Node) bool {
-			if corners[n.ID] {
+		return func(v int32) bool {
+			if slices.Contains(corners[:], v) {
 				return true
 			}
 			// Maxima restricted to boundary components: boundary
 			// vertices all of whose boundary neighbors are lower.
-			i, j, k := grid.GlobalPoint(global, n.ID)
+			i, j, k := ext.Point(int(v))
 			if !ext.OnBoundary(i, j, k) {
 				return false
 			}
-			return boundaryRestrictedMax(t, global, ext, n)
+			for _, d := range [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
+				ni, nj, nk := i+d[0], j+d[1], k+d[2]
+				if !ext.OnBoundary(ni, nj, nk) {
+					continue
+				}
+				u := ext.Index(ni, nj, nk)
+				if Above(vals[u], int64(u), vals[v], int64(v)) {
+					return false
+				}
+			}
+			return true
 		}
 	default: // KeepSharedBoundary
 		interior := owned.Grow(-1)
-		return func(n *Node) bool {
-			i, j, k := grid.GlobalPoint(global, n.ID)
+		return func(v int32) bool {
+			i, j, k := ext.Point(int(v))
 			return !interior.Contains(i, j, k)
 		}
 	}
-}
-
-// boundaryRestrictedMax reports whether node n, lying on the boundary
-// of box ext, is a local maximum of the field restricted to that
-// boundary.
-func boundaryRestrictedMax(t *Tree, global, ext grid.Box, n *Node) bool {
-	i, j, k := grid.GlobalPoint(global, n.ID)
-	for _, d := range [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}} {
-		ni, nj, nk := i+d[0], j+d[1], k+d[2]
-		if !ext.Contains(ni, nj, nk) || !ext.OnBoundary(ni, nj, nk) {
-			continue
-		}
-		u := t.Nodes[grid.GlobalIndex(global, ni, nj, nk)]
-		if u != nil && Above(u.Value, u.ID, n.Value, n.ID) {
-			return false
-		}
-	}
-	return true
 }
 
 // Reduce contracts every regular node for which keep returns false,
@@ -197,59 +272,55 @@ func Reduce(t *Tree, keep func(n *Node) bool) *Tree {
 	retained := func(n *Node) bool {
 		return !n.IsRegular() || keep(n)
 	}
-	out := &Tree{Nodes: make(map[int64]*Node)}
-	get := func(n *Node) *Node {
-		m, ok := out.Nodes[n.ID]
-		if !ok {
-			m = &Node{ID: n.ID, Value: n.Value}
-			out.Nodes[n.ID] = m
-		}
-		return m
-	}
+	var kept []*Node
 	for _, n := range t.Nodes {
-		if !retained(n) {
-			continue
+		if retained(n) {
+			kept = append(kept, n)
 		}
-		m := get(n)
-		// Walk down to the next retained node.
+	}
+	slab := make([]Node, len(kept))
+	out := &Tree{Nodes: make(map[int64]*Node, len(kept))}
+	for i, n := range kept {
+		slab[i] = Node{ID: n.ID, Value: n.Value}
+		out.Nodes[n.ID] = &slab[i]
+	}
+	for i, n := range kept {
+		// Walk down to the next retained node; a root is always
+		// retained, so every walk from a non-root ends at one.
 		d := n.Down
 		for d != nil && !retained(d) {
 			d = d.Down
 		}
 		if d != nil {
-			dm := get(d)
-			m.Down = dm
-			dm.Ups = append(dm.Ups, m)
-		} else if n.Down == nil {
-			out.Roots = append(out.Roots, m)
+			slab[i].Down = out.Nodes[d.ID]
 		}
 	}
-	sortNodes(out.Roots)
+	out.link(slab)
 	return out
 }
 
-// packSubtree converts a reduced tree into the wire-ordered Subtree.
+// packSubtree converts a reduced tree into the wire-ordered Subtree,
+// with LocalSubtree's vertex and edge order.
 func packSubtree(t *Tree, rank int, block grid.Box) *Subtree {
-	st := &Subtree{Rank: rank, Block: block}
-	deg := make(map[int64]int, len(t.Nodes))
-	vals := make(map[int64]float64, len(t.Nodes))
+	nodes := make([]*Node, 0, len(t.Nodes))
 	for _, n := range t.Nodes {
-		vals[n.ID] = n.Value
+		nodes = append(nodes, n)
+	}
+	sortNodes(nodes)
+	st := &Subtree{Rank: rank, Block: block, Verts: make([]SubtreeVert, len(nodes)),
+		Edges: make([]Arc, 0, len(nodes)-len(t.Roots))}
+	var ups []*Node
+	for i, n := range nodes {
+		deg := len(n.Ups)
 		if n.Down != nil {
-			st.Edges = append(st.Edges, Arc{Hi: n.ID, Lo: n.Down.ID})
-			deg[n.ID]++
-			deg[n.Down.ID]++
+			deg++
+		}
+		st.Verts[i] = SubtreeVert{ID: n.ID, Value: n.Value, Degree: deg}
+		ups = append(ups[:0], n.Ups...)
+		sortNodes(ups)
+		for _, u := range ups {
+			st.Edges = append(st.Edges, Arc{Hi: u.ID, Lo: n.ID})
 		}
 	}
-	for _, n := range t.Nodes {
-		st.Verts = append(st.Verts, SubtreeVert{ID: n.ID, Value: n.Value, Degree: deg[n.ID]})
-	}
-	sort.Slice(st.Verts, func(i, j int) bool {
-		return Above(st.Verts[i].Value, st.Verts[i].ID, st.Verts[j].Value, st.Verts[j].ID)
-	})
-	sort.Slice(st.Edges, func(i, j int) bool {
-		a, b := st.Edges[i], st.Edges[j]
-		return Above(vals[a.Lo], a.Lo, vals[b.Lo], b.Lo)
-	})
 	return st
 }

@@ -2,6 +2,7 @@ package mergetree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -71,10 +72,17 @@ func (st *Subtree) Marshal() []byte {
 	return st.AppendMarshal(make([]byte, 0, st.MarshalSize()))
 }
 
-// UnmarshalSubtree reconstructs a subtree from Marshal's output.
+// ErrTruncatedSubtree reports a subtree payload shorter than its
+// header or than the vertex and edge counts it declares.
+var ErrTruncatedSubtree = errors.New("mergetree: truncated subtree payload")
+
+// UnmarshalSubtree reconstructs a subtree from Marshal's output. The
+// declared counts are checked against the bytes present before
+// anything is allocated, so a hostile count yields ErrTruncatedSubtree,
+// never a panic. Bytes after the encoded subtree are ignored.
 func UnmarshalSubtree(p []byte) (*Subtree, error) {
 	if len(p) < 4+7*8 {
-		return nil, fmt.Errorf("mergetree: subtree payload too short (%d bytes)", len(p))
+		return nil, fmt.Errorf("%w: %d bytes", ErrTruncatedSubtree, len(p))
 	}
 	st := &Subtree{}
 	st.Rank = int(binary.LittleEndian.Uint32(p[:4]))
@@ -89,25 +97,26 @@ func UnmarshalSubtree(p []byte) (*Subtree, error) {
 		p = p[8:]
 	}
 	st.Block = box
-	nv := int(binary.LittleEndian.Uint64(p[:8]))
+	nv := binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
-	if len(p) < 20*nv+8 {
-		return nil, fmt.Errorf("mergetree: truncated subtree vertices")
+	// Divide rather than multiply: 20*nv overflows for hostile counts.
+	if len(p) < 8 || nv > uint64((len(p)-8)/20) {
+		return nil, fmt.Errorf("%w: %d vertices declared, %d bytes left", ErrTruncatedSubtree, nv, len(p))
 	}
 	st.Verts = make([]SubtreeVert, nv)
-	for i := 0; i < nv; i++ {
+	for i := range st.Verts {
 		st.Verts[i].ID = int64(binary.LittleEndian.Uint64(p[:8]))
 		st.Verts[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
 		st.Verts[i].Degree = int(binary.LittleEndian.Uint32(p[16:20]))
 		p = p[20:]
 	}
-	ne := int(binary.LittleEndian.Uint64(p[:8]))
+	ne := binary.LittleEndian.Uint64(p[:8])
 	p = p[8:]
-	if len(p) < 16*ne {
-		return nil, fmt.Errorf("mergetree: truncated subtree edges")
+	if ne > uint64(len(p)/16) {
+		return nil, fmt.Errorf("%w: %d edges declared, %d bytes left", ErrTruncatedSubtree, ne, len(p))
 	}
 	st.Edges = make([]Arc, ne)
-	for i := 0; i < ne; i++ {
+	for i := range st.Edges {
 		st.Edges[i].Hi = int64(binary.LittleEndian.Uint64(p[:8]))
 		st.Edges[i].Lo = int64(binary.LittleEndian.Uint64(p[8:16]))
 		p = p[16:]

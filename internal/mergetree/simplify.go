@@ -2,7 +2,7 @@ package mergetree
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Branch describes one branch of the branch decomposition: a maximum,
@@ -68,11 +68,14 @@ func BranchDecomposition(t *Tree) []Branch {
 			out = append(out, Branch{Max: n, Persistence: math.Inf(1)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Persistence != out[j].Persistence {
-			return out[i].Persistence > out[j].Persistence
+	slices.SortFunc(out, func(a, b Branch) int {
+		if a.Persistence != b.Persistence {
+			if a.Persistence > b.Persistence {
+				return -1
+			}
+			return 1
 		}
-		return Above(out[i].Max.Value, out[i].Max.ID, out[j].Max.Value, out[j].Max.ID)
+		return compareSweep(a.Max.Value, a.Max.ID, b.Max.Value, b.Max.ID)
 	})
 	return out
 }
@@ -119,29 +122,20 @@ func Simplify(t *Tree, eps float64) *Tree {
 		alive[n] = alive[best]
 	}
 
-	out := &Tree{Nodes: make(map[int64]*Node)}
-	for _, n := range order {
-		if !alive[n] {
-			continue
-		}
-		m := &Node{ID: n.ID, Value: n.Value}
-		out.Nodes[n.ID] = m
+	order = slices.DeleteFunc(order, func(n *Node) bool { return !alive[n] })
+	out := &Tree{Nodes: make(map[int64]*Node, len(order))}
+	slab := make([]Node, len(order))
+	for i, n := range order {
+		slab[i] = Node{ID: n.ID, Value: n.Value}
+		out.Nodes[n.ID] = &slab[i]
 	}
-	for _, n := range order {
-		if !alive[n] {
-			continue
-		}
-		m := out.Nodes[n.ID]
+	for i, n := range order {
 		if n.Down != nil {
 			// A live node's down is always live: its branch continues
 			// through or merges below.
-			dm := out.Nodes[n.Down.ID]
-			m.Down = dm
-			dm.Ups = append(dm.Ups, m)
-		} else {
-			out.Roots = append(out.Roots, m)
+			slab[i].Down = out.Nodes[n.Down.ID]
 		}
 	}
-	sortNodes(out.Roots)
+	out.link(slab)
 	return out
 }

@@ -108,13 +108,15 @@ func (b *Builder) DrainToSink() error {
 // wrote to disk.
 func TreeFromRecords(records []EvictRecord) (*Tree, error) {
 	t := &Tree{Nodes: make(map[int64]*Node, len(records))}
-	for _, r := range records {
+	slab := make([]Node, len(records))
+	for i, r := range records {
 		if _, dup := t.Nodes[r.ID]; dup {
 			return nil, fmt.Errorf("mergetree: duplicate record for vertex %d", r.ID)
 		}
-		t.Nodes[r.ID] = &Node{ID: r.ID, Value: r.Value}
+		slab[i] = Node{ID: r.ID, Value: r.Value}
+		t.Nodes[r.ID] = &slab[i]
 	}
-	for _, r := range records {
+	for i, r := range records {
 		if r.Down < 0 {
 			continue
 		}
@@ -122,15 +124,8 @@ func TreeFromRecords(records []EvictRecord) (*Tree, error) {
 		if !ok {
 			return nil, fmt.Errorf("mergetree: record stream references missing vertex %d", r.Down)
 		}
-		hi := t.Nodes[r.ID]
-		hi.Down = lo
-		lo.Ups = append(lo.Ups, hi)
+		slab[i].Down = lo
 	}
-	for _, n := range t.Nodes {
-		if n.Down == nil {
-			t.Roots = append(t.Roots, n)
-		}
-	}
-	sortNodes(t.Roots)
+	t.link(slab)
 	return t, nil
 }

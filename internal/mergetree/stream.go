@@ -1,8 +1,9 @@
 package mergetree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The streaming builder implements the in-transit stage: it aggregates
@@ -45,8 +46,11 @@ type StreamStats struct {
 // vertices and edges.
 type Builder struct {
 	nodes map[int64]*bnode
-	log   []EvictRecord
-	sink  func(EvictRecord) // optional external log consumer
+	// slab backs new bnodes. A full slab is replaced, never grown in
+	// place, so the pointers held by nodes and down chains stay valid.
+	slab []bnode
+	log  []EvictRecord
+	sink func(EvictRecord) // optional external log consumer
 
 	// watermark is the sweep position at or below which all future
 	// edge lower-endpoints are guaranteed to lie. It advances via
@@ -77,9 +81,18 @@ func WithSink(fn func(EvictRecord)) BuilderOption {
 
 // NewBuilder creates an empty streaming builder.
 func NewBuilder(opts ...BuilderOption) *Builder {
-	b := &Builder{nodes: make(map[int64]*bnode)}
+	return newBuilder(0, opts...)
+}
+
+// newBuilder sizes the node map, the first slab and, with eviction to
+// the internal log, the log for n declarations.
+func newBuilder(n int, opts ...BuilderOption) *Builder {
+	b := &Builder{nodes: make(map[int64]*bnode, n), slab: make([]bnode, 0, max(n, 64))}
 	for _, o := range opts {
 		o(b)
+	}
+	if b.evictOn && b.sink == nil {
+		b.log = make([]EvictRecord, 0, n)
 	}
 	return b
 }
@@ -96,7 +109,11 @@ func (b *Builder) DeclareVertex(id int64, val float64, degree int) error {
 		n.pending += degree
 		return nil
 	}
-	b.nodes[id] = &bnode{id: id, val: val, pending: degree}
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]bnode, 0, 2*cap(b.slab))
+	}
+	b.slab = append(b.slab, bnode{id: id, val: val, pending: degree})
+	b.nodes[id] = &b.slab[len(b.slab)-1]
 	b.stats.Declared++
 	if live := len(b.nodes); live > b.stats.PeakLive {
 		b.stats.PeakLive = live
@@ -121,6 +138,7 @@ func (b *Builder) AddEdge(hi, lo int64) error {
 	if !ok {
 		return fmt.Errorf("mergetree: edge references undeclared or evicted vertex %d", lo)
 	}
+	b.stats.Edges++
 	u.pending--
 	v.pending--
 	if u.pending < 0 || v.pending < 0 {
@@ -218,50 +236,55 @@ func (b *Builder) Finish() (*Tree, StreamStats, error) {
 			return nil, b.stats, fmt.Errorf("mergetree: vertex %d still has %d unprocessed edges", id, n.pending)
 		}
 	}
-	t := &Tree{Nodes: make(map[int64]*Node, len(b.nodes)+len(b.log))}
-	get := func(id int64, val float64) *Node {
-		n, ok := t.Nodes[id]
-		if !ok {
-			n = &Node{ID: id, Value: val}
-			t.Nodes[id] = n
-		}
-		return n
-	}
-	type link struct{ hi, lo int64 }
-	var links []link
+	total := len(b.nodes) + len(b.log)
+	t := &Tree{Nodes: make(map[int64]*Node, total)}
+	slab := make([]Node, 0, total)
 	for _, n := range b.nodes {
-		get(n.id, n.val)
-		if n.down != nil {
-			links = append(links, link{n.id, n.down.id})
-		}
+		slab = t.addNode(slab, n.id, n.val)
 	}
 	for _, r := range b.log {
-		get(r.ID, r.Value)
-		if r.Down >= 0 {
-			links = append(links, link{r.ID, r.Down})
-		}
+		slab = t.addNode(slab, r.ID, r.Value)
 	}
-	for _, l := range links {
-		hi := t.Nodes[l.hi]
-		lo, ok := t.Nodes[l.lo]
+	setDown := func(hi, lo int64) error {
+		n, ok := t.Nodes[lo]
 		if !ok {
 			if b.sink != nil {
 				// The target was evicted to the external sink; the
 				// arc is restored by MergeSunk with the sink records.
-				continue
+				return nil
 			}
-			return nil, b.stats, fmt.Errorf("mergetree: eviction log references missing vertex %d", l.lo)
+			return fmt.Errorf("mergetree: eviction log references missing vertex %d", lo)
 		}
-		hi.Down = lo
-		lo.Ups = append(lo.Ups, hi)
+		t.Nodes[hi].Down = n
+		return nil
 	}
-	for _, n := range t.Nodes {
-		if n.Down == nil {
-			t.Roots = append(t.Roots, n)
+	for _, n := range b.nodes {
+		if n.down != nil {
+			if err := setDown(n.id, n.down.id); err != nil {
+				return nil, b.stats, err
+			}
 		}
 	}
-	sortNodes(t.Roots)
+	for _, r := range b.log {
+		if r.Down >= 0 {
+			if err := setDown(r.ID, r.Down); err != nil {
+				return nil, b.stats, err
+			}
+		}
+	}
+	t.link(slab)
 	return t, b.stats, nil
+}
+
+// addNode appends a node for id to slab unless t already has one. slab
+// must have room for it: its nodes are pointed to, so it never grows.
+func (t *Tree) addNode(slab []Node, id int64, val float64) []Node {
+	if _, ok := t.Nodes[id]; ok {
+		return slab
+	}
+	slab = append(slab, Node{ID: id, Value: val})
+	t.Nodes[id] = &slab[len(slab)-1]
+	return slab
 }
 
 // GlueOptions configures the in-transit aggregation driver.
@@ -286,7 +309,11 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 	if opts.Evict {
 		bopts = append(bopts, WithEviction())
 	}
-	b := NewBuilder(bopts...)
+	nverts := 0
+	for _, st := range subtrees {
+		nverts += len(st.Verts)
+	}
+	b := newBuilder(nverts, bopts...)
 
 	if !opts.Evict {
 		// Arbitrary-order mode: declare everything, then feed edges in
@@ -321,17 +348,37 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 	}
 	type cursor struct {
 		st   *Subtree
-		vals map[int64]float64
 		pos  int // next edge
 		vpos int // next undeclared vertex
+		// lpos indexes the Verts entry of the next edge's lower
+		// endpoint, at sweep position (lv, lid). Edges arrive sorted by
+		// lower endpoint, so lpos only moves forward.
+		lpos int
+		lv   float64
+		lid  int64
 	}
-	cursors := make([]*cursor, 0, len(subtrees))
-	for _, st := range subtrees {
-		vals := make(map[int64]float64, len(st.Verts))
-		for _, v := range st.Verts {
-			vals[v.ID] = v.Value
+	cursors := make([]cursor, len(subtrees))
+	live := make([]*cursor, 0, len(cursors))
+	// lower points c at its next edge's lower endpoint.
+	lower := func(c *cursor) error {
+		e := c.st.Edges[c.pos]
+		for ; c.lpos < len(c.st.Verts); c.lpos++ {
+			if v := c.st.Verts[c.lpos]; v.ID == e.Lo {
+				c.lv, c.lid = v.Value, v.ID
+				return nil
+			}
 		}
-		cursors = append(cursors, &cursor{st: st, vals: vals})
+		return fmt.Errorf("mergetree: rank %d edge (%d,%d): lower endpoint missing from the subtree or out of sweep order", c.st.Rank, e.Hi, e.Lo)
+	}
+	for i, st := range subtrees {
+		c := &cursors[i]
+		c.st = st
+		if len(st.Edges) > 0 {
+			if err := lower(c); err != nil {
+				return nil, b.stats, err
+			}
+			live = append(live, c)
+		}
 	}
 	// declareDown declares all of c's vertices at or above sweep
 	// position (val, id).
@@ -348,30 +395,19 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 		}
 		return nil
 	}
-	loPos := func(c *cursor) (float64, int64) {
-		e := c.st.Edges[c.pos]
-		return c.vals[e.Lo], e.Lo
-	}
-	live := make([]*cursor, 0, len(cursors))
-	for _, c := range cursors {
-		if len(c.st.Edges) > 0 {
-			live = append(live, c)
-		}
-	}
 	processed := 0
 	for len(live) > 0 {
 		// Pick the cursor with the highest next lower endpoint.
 		best := 0
-		bv, bi := loPos(live[0])
+		bv, bi := live[0].lv, live[0].lid
 		for i := 1; i < len(live); i++ {
-			v, id := loPos(live[i])
-			if Above(v, id, bv, bi) {
-				best, bv, bi = i, v, id
+			if c := live[i]; Above(c.lv, c.lid, bv, bi) {
+				best, bv, bi = i, c.lv, c.lid
 			}
 		}
 		// All blocks declare down to the new watermark first.
-		for _, c := range cursors {
-			if err := declareDown(c, bv, bi); err != nil {
+		for i := range cursors {
+			if err := declareDown(&cursors[i], bv, bi); err != nil {
 				return nil, b.stats, err
 			}
 		}
@@ -383,6 +419,8 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 		c.pos++
 		if c.pos == len(c.st.Edges) {
 			live = append(live[:best], live[best+1:]...)
+		} else if err := lower(c); err != nil {
+			return nil, b.stats, err
 		}
 		processed++
 		b.wmVal, b.wmID, b.wmSet = bv, bi, true
@@ -391,7 +429,8 @@ func Glue(subtrees []*Subtree, opts GlueOptions) (*Tree, StreamStats, error) {
 		}
 	}
 	// Declare any remaining (isolated) vertices and finish.
-	for _, c := range cursors {
+	for i := range cursors {
+		c := &cursors[i]
 		for ; c.vpos < len(c.st.Verts); c.vpos++ {
 			v := c.st.Verts[c.vpos]
 			if err := b.DeclareVertex(v.ID, v.Value, v.Degree); err != nil {
@@ -421,11 +460,11 @@ func GlueSerial(subtrees []*Subtree) (*Tree, error) {
 		}
 	}
 	// Deterministic edge order.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	slices.SortFunc(edges, func(a, b [2]int64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return edges[i][1] < edges[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	return FromGraph(values, edges)
 }

@@ -14,8 +14,9 @@
 package mergetree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Above reports whether vertex a=(ida,va) precedes b in the descending
@@ -86,9 +87,19 @@ func (t *Tree) Saddles() []*Node {
 }
 
 func sortNodes(ns []*Node) {
-	sort.Slice(ns, func(i, j int) bool {
-		return Above(ns[i].Value, ns[i].ID, ns[j].Value, ns[j].ID)
-	})
+	slices.SortFunc(ns, func(a, b *Node) int { return compareSweep(a.Value, a.ID, b.Value, b.ID) })
+}
+
+// compareSweep is Above as a three-way comparison: negative when
+// (va,ida) precedes (vb,idb) in the descending sweep order.
+func compareSweep(va float64, ida int64, vb float64, idb int64) int {
+	if va != vb {
+		if va > vb {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(ida, idb)
 }
 
 // Arc is one edge of a (reduced) merge tree, directed downward.
@@ -105,128 +116,140 @@ func (t *Tree) Arcs() []Arc {
 			out = append(out, Arc{Hi: n.ID, Lo: n.Down.ID})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hi != out[j].Hi {
-			return out[i].Hi < out[j].Hi
+	slices.SortFunc(out, func(a, b Arc) int {
+		if c := cmp.Compare(a.Hi, b.Hi); c != 0 {
+			return c
 		}
-		return out[i].Lo < out[j].Lo
+		return cmp.Compare(a.Lo, b.Lo)
 	})
 	return out
 }
 
-// vertexRef is an input vertex for the sweep constructors.
-type vertexRef struct {
-	id  int64
-	val float64
+// sweep is the descending union-find sweep of Carr, Snoeyink & Axen
+// over flat index arrays. Vertices are numbered 0..n-1 and visited by
+// value, highest first, with ties broken by index; callers number
+// vertices so that index order equals id order, which makes the sweep
+// order the global Above order. Each array holds one int32 per vertex
+// and all four share one allocation.
+type sweep struct {
+	order []int32 // sweep position -> vertex
+	down  []int32 // vertex -> next lower vertex on its arc, -1 at a root
+	ups   []int32 // vertex -> number of arcs arriving from above
+	// parent is the union-find forest over swept vertices (-1 before a
+	// vertex is swept). A component's root is always its lowest swept
+	// vertex, so the root doubles as the component's current lowest
+	// tree node.
+	parent []int32
 }
 
-// build runs the descending sweep over the given vertices, where
-// neighbors(i) yields indices (into verts) of vertices adjacent to
-// verts[i]. It returns the fully augmented merge tree.
-func build(verts []vertexRef, neighbors func(i int) []int) *Tree {
-	n := len(verts)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// run sweeps the vertices holding vals. nbrs returns the neighbours of
+// vertex v; it may append them to buf (capacity 6) or return a slice
+// of its own.
+func (s *sweep) run(vals []float64, nbrs func(v int32, buf []int32) []int32) {
+	n := len(vals)
+	buf := make([]int32, 4*n)
+	s.order, s.down, s.ups, s.parent = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
+	for i := range s.order {
+		s.order[i] = int32(i)
+		s.down[i] = -1
+		s.parent[i] = -1
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := verts[order[a]], verts[order[b]]
-		return Above(va.val, va.id, vb.val, vb.id)
+	slices.SortFunc(s.order, func(a, b int32) int {
+		return compareSweep(vals[a], int64(a), vals[b], int64(b))
 	})
 
-	// Union-find over vertex indices; lowest[root] is the current
-	// lowest tree node of that superlevel component.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = -1 // unprocessed
-	}
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	lowest := make([]*Node, n)
-
-	t := &Tree{Nodes: make(map[int64]*Node, n)}
-	nodes := make([]*Node, n)
-
-	var roots []int // component representatives, refreshed at the end
-	for _, vi := range order {
-		v := verts[vi]
-		node := &Node{ID: v.id, Value: v.val}
-		t.Nodes[v.id] = node
-		nodes[vi] = node
-
-		// Distinct components among already-processed neighbors.
-		var comps []int
-		for _, ui := range neighbors(vi) {
-			if parent[ui] < 0 {
+	parent, down := s.parent, s.down
+	var nbuf [6]int32
+	var cbuf [6]int32
+	for _, v := range s.order {
+		// Distinct components among already-swept neighbours.
+		comps := cbuf[:0]
+		for _, u := range nbrs(v, nbuf[:0]) {
+			if parent[u] < 0 {
 				continue // not yet swept (below v)
 			}
-			r := find(ui)
-			dup := false
-			for _, c := range comps {
-				if c == r {
-					dup = true
-					break
-				}
+			r := u
+			for parent[r] != r {
+				parent[r] = parent[parent[r]]
+				r = parent[r]
 			}
-			if !dup {
+			if !slices.Contains(comps, r) {
 				comps = append(comps, r)
 			}
 		}
-		// Deterministic merge order.
-		sort.Ints(comps)
-
-		parent[vi] = vi
-		if len(comps) == 0 {
-			// Local maximum: new component.
-			lowest[vi] = node
-			roots = append(roots, vi)
-			continue
-		}
-		// Attach each component's current lowest node to v, then merge.
+		// v becomes the lowest node, hence the root, of the union of
+		// those components; a vertex with none is a local maximum.
+		parent[v] = v
 		for _, c := range comps {
-			lo := lowest[c]
-			lo.Down = node
-			node.Ups = append(node.Ups, lo)
-			parent[c] = vi
+			down[c] = v
+			parent[c] = v
 		}
-		lowest[vi] = node
+		s.ups[v] = int32(len(comps))
 	}
+}
 
-	// Collect the surviving roots.
-	seen := map[int]bool{}
-	for _, r := range roots {
-		rr := find(r)
-		if !seen[rr] {
-			seen[rr] = true
-			t.Roots = append(t.Roots, lowest[rr])
+// tree turns a finished sweep into a *Tree. slab holds one node per
+// vertex, indexed like the sweep, with ID and Value set.
+func (s *sweep) tree(slab []Node) *Tree {
+	t := &Tree{Nodes: make(map[int64]*Node, len(slab))}
+	for v := range slab {
+		if d := s.down[v]; d >= 0 {
+			slab[v].Down = &slab[d]
+		}
+		t.Nodes[slab[v].ID] = &slab[v]
+	}
+	t.link(slab)
+	return t
+}
+
+// link completes a tree whose nodes live in slab with their Down
+// pointers set and their Ups empty: it fills every node's Ups, in slab
+// order, from one backing array shared by the whole tree, and collects
+// the roots in sweep order.
+func (t *Tree) link(slab []Node) {
+	ups := make([]*Node, len(slab))
+	// Count first: each node's Ups length is its up count, resliced
+	// over the shared array whose contents the fill pass writes.
+	for i := range slab {
+		if d := slab[i].Down; d != nil {
+			d.Ups = ups[:len(d.Ups)+1]
+		}
+	}
+	off := 0
+	for i := range slab {
+		n := &slab[i]
+		if c := len(n.Ups); c > 0 {
+			n.Ups = ups[off : off : off+c]
+			off += c
+		}
+		if n.Down == nil {
+			t.Roots = append(t.Roots, n)
+		}
+	}
+	for i := range slab {
+		if d := slab[i].Down; d != nil {
+			d.Ups = append(d.Ups, &slab[i])
 		}
 	}
 	sortNodes(t.Roots)
-	return t
 }
 
 // FromGraph computes the augmented merge tree of an arbitrary graph
 // given vertex values and undirected edges. It is the reference
 // construction the distributed pipeline is validated against.
 func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
-	verts := make([]vertexRef, 0, len(values))
-	index := make(map[int64]int, len(values))
 	ids := make([]int64, 0, len(values))
 	for id := range values {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		index[id] = len(verts)
-		verts = append(verts, vertexRef{id: id, val: values[id]})
+	slices.Sort(ids)
+	index := make(map[int64]int32, len(ids))
+	vals := make([]float64, len(ids))
+	for i, id := range ids {
+		index[id] = int32(i)
+		vals[i] = values[id]
 	}
-	adj := make([][]int, len(verts))
+	adj := make([][]int32, len(ids))
 	for _, e := range edges {
 		a, oka := index[e[0]]
 		b, okb := index[e[1]]
@@ -239,7 +262,13 @@ func FromGraph(values map[int64]float64, edges [][2]int64) (*Tree, error) {
 		adj[a] = append(adj[a], b)
 		adj[b] = append(adj[b], a)
 	}
-	return build(verts, func(i int) []int { return adj[i] }), nil
+	var s sweep
+	s.run(vals, func(v int32, _ []int32) []int32 { return adj[v] })
+	slab := make([]Node, len(ids))
+	for i, id := range ids {
+		slab[i] = Node{ID: id, Value: vals[i]}
+	}
+	return s.tree(slab), nil
 }
 
 // Equal reports whether two trees have identical node sets, values and

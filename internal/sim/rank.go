@@ -75,12 +75,13 @@ func (rk *Rank) GhostedField(name string) *grid.Field { return rk.fields[name] }
 // starts from a smooth lifted-jet state.
 func (rk *Rank) initialize() {
 	b := rk.ghost
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			prof := rk.sim.inflowProfile(float64(j), float64(k))
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				for name, v := range prof {
-					rk.fields[name].Set(i, j, k, v)
+	for _, name := range advected {
+		prof, f := rk.sim.inflowProfile(name), rk.fields[name]
+		for k := b.Lo[2]; k < b.Hi[2]; k++ {
+			for j := b.Lo[1]; j < b.Hi[1]; j++ {
+				v := prof(float64(j), float64(k))
+				for i := b.Lo[0]; i < b.Hi[0]; i++ {
+					f.Set(i, j, k, v)
 				}
 			}
 		}
@@ -199,12 +200,15 @@ func (rk *Rank) fillBoundaryPlane(name string, axis int) {
 				plane.Hi[a2] = rk.owned.Hi[a2]
 			}
 		}
-		inflow := axis == 0 && dir < 0
+		var inflow func(y, z float64) float64
+		if axis == 0 && dir < 0 {
+			inflow = rk.sim.inflowProfile(name)
+		}
 		for k := plane.Lo[2]; k < plane.Hi[2]; k++ {
 			for j := plane.Lo[1]; j < plane.Hi[1]; j++ {
 				for i := plane.Lo[0]; i < plane.Hi[0]; i++ {
-					if inflow {
-						f.Set(i, j, k, rk.sim.inflowProfile(float64(j), float64(k))[name])
+					if inflow != nil {
+						f.Set(i, j, k, inflow(float64(j), float64(k)))
 						continue
 					}
 					ci := clampI(i, g.Lo[0], g.Hi[0]-1)

@@ -256,22 +256,31 @@ func (s *Sim) velocity(x, y, z, t float64) (u, v, w float64) {
 	return
 }
 
-// inflowProfile returns the inlet (x=0) values for each advected
-// variable at (y,z): a cold fuel jet in a heated air coflow.
-func (s *Sim) inflowProfile(y, z float64) map[string]float64 {
+// inflowProfile returns the inlet (x=0) profile of one advected
+// variable as a function of (y,z): a cold fuel jet in a heated air
+// coflow. Resolve it once per variable, outside the cell loops.
+func (s *Sim) inflowProfile(name string) func(y, z float64) float64 {
 	d := s.cfg.Global.Dims()
 	cy, cz := float64(d[1])/2, float64(d[2])/2
-	r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (s.cfg.JetRadius * s.cfg.JetRadius)
-	jet := math.Exp(-r2) // 1 in the jet core, 0 in the coflow
-	return map[string]float64{
-		"T":      s.cfg.FuelT*jet + s.cfg.CoflowT*(1-jet),
-		"Y_H2":   0.9 * jet,
-		"Y_O2":   0.22 * (1 - jet),
-		"Y_H2O":  0.005,
-		"Y_OH":   0,
-		"Y_HO2":  0,
-		"Y_H2O2": 0,
-		"Y_H":    0,
-		"Y_O":    0,
+	radius, fuelT, coflowT := s.cfg.JetRadius, s.cfg.FuelT, s.cfg.CoflowT
+	// jet is 1 in the jet core and 0 in the coflow.
+	jet := func(y, z float64) float64 {
+		r2 := ((y-cy)*(y-cy) + (z-cz)*(z-cz)) / (radius * radius)
+		return math.Exp(-r2)
+	}
+	switch name {
+	case "T":
+		return func(y, z float64) float64 {
+			j := jet(y, z)
+			return fuelT*j + coflowT*(1-j)
+		}
+	case "Y_H2":
+		return func(y, z float64) float64 { return 0.9 * jet(y, z) }
+	case "Y_O2":
+		return func(y, z float64) float64 { return 0.22 * (1 - jet(y, z)) }
+	case "Y_H2O":
+		return func(y, z float64) float64 { return 0.005 }
+	default: // the radicals enter at zero
+		return func(y, z float64) float64 { return 0 }
 	}
 }
